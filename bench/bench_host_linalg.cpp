@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "kernels/block_ops.hpp"
+#include "kernels/kernels.hpp"
 #include "linalg/blas3.hpp"
 #include "linalg/flops.hpp"
 #include "linalg/qr.hpp"
@@ -66,6 +67,9 @@ void BM_BlockGeqr2(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockGeqr2)->Arg(64)->Arg(128)->Arg(256);
 
+// Row-major vectorized core (float/double entry point) and, for comparison,
+// the column-by-column reference loops it is bit-identical to.
+template <bool kReference>
 void BM_BlockApplyQt(benchmark::State& state) {
   const idx h = state.range(0), w = 16;
   auto f = gaussian_matrix<float>(h, w, 6);
@@ -75,14 +79,49 @@ void BM_BlockApplyQt(benchmark::State& state) {
   Matrix<float> c(h, w);
   for (auto _ : state) {
     c.view().copy_from(c0.view());
-    kernels::block_apply_qt(f.as_const(), tau.data(), c.view());
+    if constexpr (kReference) {
+      kernels::ref::block_apply(f.as_const(), tau.data(), c.view(), true);
+    } else {
+      kernels::block_apply(f.as_const(), tau.data(), c.view(), true);
+    }
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(
       state.iterations() *
       static_cast<std::int64_t>(kernels::block_apply_qt_flops(h, w, w)));
 }
-BENCHMARK(BM_BlockApplyQt)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_BlockApplyQt<false>)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_BlockApplyQt<true>)->Arg(128);
+
+// The apply_qt_h kernel as a launch runs it: every (row block x 16-column
+// tile) of a tall strided panel, each tile staged into arena scratch.
+void BM_ApplyQtHKernelStaged(benchmark::State& state) {
+  const idx m = state.range(0), w = 16, n = 84, h = 128;
+  auto panel = gaussian_matrix<float>(m, w, 11);
+  std::vector<idx> offsets;
+  for (idx r = 0; r <= m; r += h) offsets.push_back(r);
+  const idx nb = static_cast<idx>(offsets.size()) - 1;
+  std::vector<float> taus(static_cast<std::size_t>(nb * w));
+  const auto cost =
+      kernels::cost_params(kernels::ReductionVariant::RegisterSerialTransposed);
+  kernels::FactorKernel<float> f{panel.view(), &offsets, taus.data(), cost};
+  for (idx b = 0; b < nb; ++b) f.run_block(b);
+  auto c0 = gaussian_matrix<float>(m, n, 12);
+  Matrix<float> c(m, n);
+  kernels::ApplyQtHKernel<float> k{panel.as_const(), &offsets, taus.data(),
+                                   c.view(), 16, cost};
+  const double flops =
+      static_cast<double>(nb) * kernels::block_apply_qt_flops(h, w, n);
+  for (auto _ : state) {
+    c.view().copy_from(c0.view());
+    for (idx b = 0; b < k.num_blocks(); ++b) k.run_block(b);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(flops));
+}
+BENCHMARK(BM_ApplyQtHKernelStaged)->Arg(8192);
 
 void BM_ReferenceGeqrf(benchmark::State& state) {
   const idx m = state.range(0), n = 64;
@@ -135,6 +174,35 @@ void BM_StackedGeqr2(benchmark::State& state) {
       static_cast<std::int64_t>(kernels::stacked_geqr2_flops(w, k)));
 }
 BENCHMARK(BM_StackedGeqr2)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_StackedApplyQt(benchmark::State& state) {
+  // The apply_qt_tree kernel core: one 16-column tile of a k-way combine.
+  const idx w = 16, k = state.range(0), nc = 16;
+  auto s = Matrix<float>::zeros(k * w, w);
+  Rng rng(13);
+  for (idx b = 0; b < k; ++b) {
+    for (idx j = 0; j < w; ++j) {
+      for (idx i = 0; i <= j; ++i) {
+        s(b * w + i, j) = static_cast<float>(rng.uniform(-1, 1));
+      }
+    }
+  }
+  std::vector<float> tau(static_cast<std::size_t>(w));
+  std::vector<float> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
+  kernels::stacked_geqr2(s.view(), w, k, tau.data(), scratch.data());
+  auto c0 = gaussian_matrix<float>(k * w, nc, 14);
+  Matrix<float> c(k * w, nc);
+  for (auto _ : state) {
+    c.view().copy_from(c0.view());
+    kernels::stacked_apply(s.as_const(), w, k, tau.data(), c.view(), true);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(kernels::stacked_apply_qt_flops(w, k, nc)));
+}
+BENCHMARK(BM_StackedApplyQt)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 

@@ -22,7 +22,7 @@
 //      stage) and ships the updated rows back.
 //
 // Bit-identity guarantee. The tree-combine and tree-apply arithmetic
-// (stacked_geqr2 / stacked_apply_qt, kernels/block_ops.hpp) are pure
+// (stacked_geqr2 / stacked_apply, kernels/block_ops.hpp) are pure
 // functions of the gathered stacked values, and stacked_apply never reads
 // v block 0 — so combining triangles on an owner's staging matrix is
 // bitwise equal to combining them in place in one device's panel, and the

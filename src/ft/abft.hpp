@@ -402,11 +402,7 @@ void abft_verify(const kernels::ApplyQtHKernel<T>& k, const ApplyHCert<T>& cert,
     const idx h = (*k.offsets)[static_cast<std::size_t>(rb) + 1] - r0;
     const auto v = k.panel.block(r0, 0, h, w);
     const auto target = pred.block(r0, 0, h, tiles);
-    if (k.transpose_q) {
-      kernels::block_apply_qt(v, k.taus + rb * w, target);
-    } else {
-      kernels::block_apply_q(v, k.taus + rb * w, target);
-    }
+    kernels::block_apply(v, k.taus + rb * w, target, k.transpose_q);
   }
   for (idx rb = 0; rb < nrb; ++rb) {
     const idx r0 = (*k.offsets)[static_cast<std::size_t>(rb)];
@@ -590,13 +586,8 @@ void abft_verify(const kernels::ApplyQtTreeKernel<T>& k,
     }
     Matrix<T> pred = Matrix<T>::from(
         cert.sums[static_cast<std::size_t>(g)].view());
-    if (k.transpose_q) {
-      kernels::stacked_apply_qt(u.as_const(), w, kk, k.taus + g * w,
-                                pred.view());
-    } else {
-      kernels::stacked_apply_q(u.as_const(), w, kk, k.taus + g * w,
-                               pred.view());
-    }
+    kernels::stacked_apply(u.as_const(), w, kk, k.taus + g * w, pred.view(),
+                           k.transpose_q);
     const double s = cert.scale[static_cast<std::size_t>(g)];
     const double tol =
         tol_mult * eps * std::sqrt(static_cast<double>(kk * w));

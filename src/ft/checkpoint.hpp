@@ -196,7 +196,11 @@ class CheckpointReader {
       return false;
     }
     out.resize(it->second.size() / sizeof(T));
-    std::memcpy(out.data(), it->second.data(), it->second.size());
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (!out.empty()) {
+      std::memcpy(out.data(), it->second.data(), it->second.size());
+    }
     return true;
   }
 
@@ -215,7 +219,7 @@ class CheckpointReader {
     if (it->second.size() != expect) return false;
     out = Matrix<T>(static_cast<idx>(dims[0]), static_cast<idx>(dims[1]));
     const char* src = it->second.data() + sizeof(dims);
-    for (idx j = 0; j < out.cols(); ++j) {
+    for (idx j = 0; j < out.cols() && out.rows() > 0; ++j) {
       std::memcpy(out.view().col(j), src,
                   sizeof(T) * static_cast<std::size_t>(out.rows()));
       src += sizeof(T) * static_cast<std::size_t>(out.rows());

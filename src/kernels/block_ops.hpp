@@ -11,21 +11,40 @@
 // type. Flop convention: mul, add, sub, div, sqrt each count 1.
 //
 // The layout contract mirrors the paper's kernels (§IV.D):
-//   * block_geqr2      — `factor`: Householder QR of one H x W block held in
-//                        fast memory; U overwrites the subdiagonal, R the top.
-//   * block_apply_qt   — `apply_qt_h`: apply Q^T of a factored block to a
-//                        trailing tile of the same height.
-//   * stacked_geqr2    — `factor_tree`: QR of k vertically stacked W x W
-//                        upper-triangular R factors, exploiting the sparsity
-//                        pattern (each reflector touches only the pivot row
-//                        and rows 0..j of the lower triangles).
-//   * stacked_apply_qt — `apply_qt_tree`: apply the stacked-triangle Q^T to
-//                        the matching distributed rows of the trailing matrix.
+//   * block_geqr2   — `factor`: Householder QR of one H x W block held in
+//                     fast memory; U overwrites the subdiagonal, R the top.
+//   * block_apply   — `apply_qt_h` / `apply_q_h`: apply Q^T (or Q) of a
+//                     factored block to a trailing tile of the same height.
+//   * stacked_geqr2 — `factor_tree`: QR of k vertically stacked W x W
+//                     upper-triangular R factors, exploiting the sparsity
+//                     pattern (each reflector touches only the pivot row
+//                     and rows 0..j of the lower triangles).
+//   * stacked_apply — `apply_qt_tree` / `apply_q_tree`: apply the
+//                     stacked-triangle Q^T (or Q) to the matching
+//                     distributed rows of the trailing matrix.
+//
+// Every core has two implementations (DESIGN.md §16):
+//   * ref::  — the reference loops: column-major, one serial dot-product
+//              chain per column, any scalar type. The counting scalar of
+//              the flop tests runs these.
+//   * simd:: — float and double: the operand being updated is staged
+//              row-major in arena scratch and each reflector is applied to
+//              a whole chunk of columns at once with GCC vector types, one
+//              column per lane. Each lane performs the scalar operations of
+//              the reference chain for its column, in the same order, with
+//              multiply and add kept separate (the build pins
+//              -ffp-contract=off), so the results are bit-identical.
+// The unqualified entry points pick simd:: for float and double and ref::
+// for every other scalar type.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
+#include "common/arena.hpp"
 #include "linalg/householder.hpp"
 #include "linalg/matrix.hpp"
 
@@ -95,6 +114,52 @@ inline double apply_reflector_column_flops(idx len) {
   return 4.0 * static_cast<double>(len) - 2.0;
 }
 
+inline double block_geqr2_flops(idx m, idx n) {
+  double f = 0;
+  const idx kmax = m < n ? m : n;
+  for (idx k = 0; k < kmax; ++k) {
+    const idx len = m - k;
+    f += make_householder_flops(len);
+    if (len > 1) f += static_cast<double>(n - k - 1) * apply_reflector_column_flops(len);
+  }
+  return f;
+}
+
+// Both directions of block_apply cost the same.
+inline double block_apply_qt_flops(idx h, idx w, idx ncols) {
+  double f = 0;
+  const idx kmax = w < h ? w : h;
+  for (idx j = 0; j < kmax; ++j) {
+    // A length-1 reflector has tau == 0 (identity) and is skipped.
+    if (h - j > 1) {
+      f += static_cast<double>(ncols) * apply_reflector_column_flops(h - j);
+    }
+  }
+  return f;
+}
+
+inline double stacked_geqr2_flops(idx w, idx k) {
+  double f = 0;
+  for (idx j = 0; j < w; ++j) {
+    const idx len = 1 + (k - 1) * (j + 1);
+    f += make_householder_flops(len);
+    if (len > 1) f += static_cast<double>(w - j - 1) * apply_reflector_column_flops(len);
+  }
+  return f;
+}
+
+// Both directions of stacked_apply cost the same.
+inline double stacked_apply_qt_flops(idx w, idx k, idx ncols) {
+  double f = 0;
+  for (idx j = 0; j < w; ++j) {
+    const idx len = 1 + (k - 1) * (j + 1);
+    if (len > 1) f += static_cast<double>(ncols) * apply_reflector_column_flops(len);
+  }
+  return f;
+}
+
+namespace ref {
+
 // ---------------------------------------------------------------------------
 // factor: dense QR of an H x W block.
 // ---------------------------------------------------------------------------
@@ -113,55 +178,20 @@ void block_geqr2(MatrixView<T> a, T* tau) {
   }
 }
 
-inline double block_geqr2_flops(idx m, idx n) {
-  double f = 0;
-  const idx kmax = m < n ? m : n;
-  for (idx k = 0; k < kmax; ++k) {
-    const idx len = m - k;
-    f += make_householder_flops(len);
-    if (len > 1) f += static_cast<double>(n - k - 1) * apply_reflector_column_flops(len);
-  }
-  return f;
-}
-
 // ---------------------------------------------------------------------------
-// apply_qt_h: apply Q^T of a factored block (reflectors in v, scalars in tau)
-// to a trailing tile c of the same height.
+// apply_qt_h / apply_q_h: apply Q^T (reflectors ascending) or Q (reflectors
+// descending) of a factored block (reflectors in v, scalars in tau) to a
+// trailing tile c of the same height.
 // ---------------------------------------------------------------------------
 
 template <typename T>
-void block_apply_qt(ConstMatrixView<T> v, const T* tau, MatrixView<T> c) {
+void block_apply(ConstMatrixView<T> v, const T* tau, MatrixView<T> c,
+                 bool transpose_q) {
   const idx h = v.rows();
   const idx w = v.cols() < h ? v.cols() : h;
   CAQR_DCHECK(c.rows() == h);
-  for (idx j = 0; j < w; ++j) {
-    if (tau[j] == T(0)) continue;
-    for (idx col = 0; col < c.cols(); ++col) {
-      apply_reflector_column(h - j, tau[j], v.col(j) + j + 1, c.col(col) + j);
-    }
-  }
-}
-
-inline double block_apply_qt_flops(idx h, idx w, idx ncols) {
-  double f = 0;
-  const idx kmax = w < h ? w : h;
-  for (idx j = 0; j < kmax; ++j) {
-    // A length-1 reflector has tau == 0 (identity) and is skipped.
-    if (h - j > 1) {
-      f += static_cast<double>(ncols) * apply_reflector_column_flops(h - j);
-    }
-  }
-  return f;
-}
-
-// Applies Q (not Q^T) of a factored block: reflectors in descending order.
-// Same flop count as block_apply_qt.
-template <typename T>
-void block_apply_q(ConstMatrixView<T> v, const T* tau, MatrixView<T> c) {
-  const idx h = v.rows();
-  const idx w = v.cols() < h ? v.cols() : h;
-  CAQR_DCHECK(c.rows() == h);
-  for (idx j = w - 1; j >= 0; --j) {
+  for (idx s = 0; s < w; ++s) {
+    const idx j = transpose_q ? s : w - 1 - s;
     if (tau[j] == T(0)) continue;
     for (idx col = 0; col < c.cols(); ++col) {
       apply_reflector_column(h - j, tau[j], v.col(j) + j + 1, c.col(col) + j);
@@ -219,19 +249,10 @@ void stacked_geqr2(MatrixView<T> s, idx w, idx k, T* tau, T* scratch) {
   }
 }
 
-inline double stacked_geqr2_flops(idx w, idx k) {
-  double f = 0;
-  for (idx j = 0; j < w; ++j) {
-    const idx len = 1 + (k - 1) * (j + 1);
-    f += make_householder_flops(len);
-    if (len > 1) f += static_cast<double>(w - j - 1) * apply_reflector_column_flops(len);
-  }
-  return f;
-}
-
 // ---------------------------------------------------------------------------
-// apply_qt_tree: apply the stacked-triangle Q^T to the matching distributed
-// rows of a trailing tile.
+// apply_qt_tree / apply_q_tree: apply the stacked-triangle Q^T (reflectors
+// ascending) or Q (descending) to the matching distributed rows of a
+// trailing tile.
 //
 // v holds the factored stack (reflector tails in the lower triangles, taus in
 // tau); c is the (k*w) x n gathered trailing rows: row groups in the same
@@ -239,12 +260,13 @@ inline double stacked_geqr2_flops(idx w, idx k) {
 // ---------------------------------------------------------------------------
 
 template <typename T>
-void stacked_apply_qt(ConstMatrixView<T> v, idx w, idx k, const T* tau,
-                      MatrixView<T> c) {
+void stacked_apply(ConstMatrixView<T> v, idx w, idx k, const T* tau,
+                   MatrixView<T> c, bool transpose_q) {
   CAQR_DCHECK(v.rows() == w * k && v.cols() == w);
   CAQR_DCHECK(c.rows() == w * k);
   const idx n = c.cols();
-  for (idx j = 0; j < w; ++j) {
+  for (idx s = 0; s < w; ++s) {
+    const idx j = transpose_q ? s : w - 1 - s;
     if (tau[j] == T(0)) continue;
     const idx seg = j + 1;
     for (idx col = 0; col < n; ++col) {
@@ -266,43 +288,296 @@ void stacked_apply_qt(ConstMatrixView<T> v, idx w, idx k, const T* tau,
   }
 }
 
-// Applies the stacked-triangle Q (not Q^T): reflectors in descending order.
-// Same flop count as stacked_apply_qt.
+}  // namespace ref
+
+namespace simd {
+
 template <typename T>
-void stacked_apply_q(ConstMatrixView<T> v, idx w, idx k, const T* tau,
-                     MatrixView<T> c) {
-  CAQR_DCHECK(v.rows() == w * k && v.cols() == w);
-  CAQR_DCHECK(c.rows() == w * k);
-  const idx n = c.cols();
-  for (idx j = w - 1; j >= 0; --j) {
-    if (tau[j] == T(0)) continue;
-    const idx seg = j + 1;
-    for (idx col = 0; col < n; ++col) {
-      T* cc = c.col(col);
-      T acc = cc[j];
-      for (idx b = 1; b < k; ++b) {
-        const T* vb = v.col(j) + b * w;
-        const T* cb = cc + b * w;
-        for (idx i = 0; i < seg; ++i) acc += vb[i] * cb[i];
+inline constexpr bool kEnabled =
+    std::is_same_v<T, float> || std::is_same_v<T, double>;
+
+// Lanes of a full chunk. Sixteen lanes give the serial dot-product chain
+// enough independent accumulators (four SSE2 registers of floats) to cover
+// the add latency; the tile's last columns use a 4-, 8- or 16-lane chunk.
+inline constexpr idx kChunk = 16;
+
+// Bytes of one vector register of the compile target: SSE2 at the x86-64
+// baseline, wider when the build enables AVX or AVX-512.
+#if defined(__AVX512F__)
+inline constexpr int kVecBytes = 64;
+#elif defined(__AVX__)
+inline constexpr int kVecBytes = 32;
+#else
+inline constexpr int kVecBytes = 16;
+#endif
+
+// Row length of a staged tile holding `cols` columns: whole chunks plus one
+// zero-padded tail chunk.
+inline idx tile_ld(idx cols) {
+  const idx rem = cols % kChunk;
+  const idx tail = rem == 0 ? 0 : (rem <= 4 ? 4 : (rem <= 8 ? 8 : kChunk));
+  return cols - rem + tail;
+}
+
+// Runs fn(t, ld) on `c` staged row-major in the calling thread's arena
+// scratch: row i of c is t[i * ld, i * ld + ld), ld = tile_ld(c.cols()),
+// with the padding lanes zero. Then copies the tile back into c.
+template <typename T, typename Fn>
+void on_rows(MatrixView<T> c, Fn&& fn) {
+  ArenaScope scope(Arena::thread_scratch());
+  const idx ld = tile_ld(c.cols());
+  T* t = scope.alloc<T>(static_cast<std::size_t>(c.rows() * ld));
+  for (idx i = 0; i < c.rows(); ++i) {
+    for (idx j = c.cols(); j < ld; ++j) t[i * ld + j] = T(0);
+  }
+  for (idx j = 0; j < c.cols(); ++j) {
+    const T* src = c.col(j);
+    for (idx i = 0; i < c.rows(); ++i) t[i * ld + j] = src[i];
+  }
+  fn(t, ld);
+  for (idx j = 0; j < c.cols(); ++j) {
+    T* dst = c.col(j);
+    for (idx i = 0; i < c.rows(); ++i) dst[i] = t[i * ld + j];
+  }
+}
+
+// The support of one reflector in a row-major tile: the pivot row (v == 1),
+// then `runs` runs of `run_len` consecutive rows. Run r starts at row
+// pointer rows + r * row_step; its reflector entries are v + r * v_step.
+template <typename T>
+struct Support {
+  T* pivot;
+  T* rows;
+  const T* v;
+  idx runs, run_len, row_step, v_step;
+};
+
+// Applies H = I - tau v v^T to lanes [l0, l0 + L) of every support row.
+// Per lane this is exactly apply_reflector_column's operation sequence:
+//   acc = pivot; acc += v[i] * row_i (support order); tw = tau * acc;
+//   pivot -= tw; row_i -= tw * v[i].
+// With kMasked, lanes below `keep` are computed but not stored.
+//
+// A chunk is held as P native vectors of kW lanes (the target ISA's
+// register width), so the accumulators stay in registers; one wide GCC
+// vector of L lanes would be lowered through the stack.
+template <int L, bool kMasked, typename T>
+void reflect_chunk(const Support<T> s, idx ld, idx l0, T tau, idx keep) {
+  constexpr int kW = std::min<int>(L, kVecBytes / static_cast<int>(sizeof(T)));
+  constexpr int P = L / kW;
+  typedef T V __attribute__((vector_size(kW * sizeof(T))));
+  using I = std::conditional_t<sizeof(T) == 4, std::int32_t, std::int64_t>;
+  typedef I M __attribute__((vector_size(kW * sizeof(T))));
+  M store[P] = {};  // all-ones in the lanes to write back
+  if constexpr (kMasked) {
+    for (int q = 0; q < L; ++q) {
+      store[q / kW][q % kW] = l0 + q >= keep ? I(-1) : I(0);
+    }
+  }
+  // The support is taken by value and v[i] read once per row: stores to
+  // the tile could otherwise alias them and force reloads.
+  T* const pivot_row = s.pivot + l0;
+  V acc[P], pivot[P], tw[P];
+#pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+    std::memcpy(&acc[p], pivot_row + p * kW, sizeof(V));
+    pivot[p] = acc[p];
+  }
+  for (idx r = 0; r < s.runs; ++r) {
+    const T* row = s.rows + r * s.row_step + l0;
+    const T* v = s.v + r * s.v_step;
+    for (idx i = 0; i < s.run_len; ++i, row += ld) {
+      const T vi = v[i];
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        V x;
+        std::memcpy(&x, row + p * kW, sizeof(V));
+        acc[p] += vi * x;
       }
-      const T tw = tau[j] * acc;
-      cc[j] -= tw;
-      for (idx b = 1; b < k; ++b) {
-        const T* vb = v.col(j) + b * w;
-        T* cb = cc + b * w;
-        for (idx i = 0; i < seg; ++i) cb[i] -= tw * vb[i];
+    }
+  }
+#pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+    tw[p] = tau * acc[p];
+    V y = pivot[p] - tw[p];
+    if constexpr (kMasked) y = store[p] ? y : pivot[p];
+    std::memcpy(pivot_row + p * kW, &y, sizeof(V));
+  }
+  for (idx r = 0; r < s.runs; ++r) {
+    T* row = s.rows + r * s.row_step + l0;
+    const T* v = s.v + r * s.v_step;
+    for (idx i = 0; i < s.run_len; ++i, row += ld) {
+      const T vi = v[i];
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        V x;
+        std::memcpy(&x, row + p * kW, sizeof(V));
+        V y = x - tw[p] * vi;
+        if constexpr (kMasked) y = store[p] ? y : x;
+        std::memcpy(row + p * kW, &y, sizeof(V));
       }
     }
   }
 }
 
-inline double stacked_apply_qt_flops(idx w, idx k, idx ncols) {
-  double f = 0;
-  for (idx j = 0; j < w; ++j) {
-    const idx len = 1 + (k - 1) * (j + 1);
-    if (len > 1) f += static_cast<double>(ncols) * apply_reflector_column_flops(len);
+template <int L, typename T>
+void reflect_lanes(const Support<T>& s, idx ld, idx l0, T tau, idx keep,
+                   idx live) {
+  if (l0 + L <= keep || l0 >= live) return;
+  if (l0 >= keep) {
+    reflect_chunk<L, false>(s, ld, l0, tau, keep);
+  } else {
+    reflect_chunk<L, true>(s, ld, l0, tau, keep);
   }
-  return f;
+}
+
+// Applies one reflector to lanes [keep, live) of a tile of ld = tile_ld()
+// lanes, chunk by chunk. Other lanes keep their values, except padding
+// lanes (>= live) sharing a chunk with live ones, which nothing reads.
+template <typename T>
+void reflect(const Support<T>& s, idx ld, T tau, idx keep, idx live) {
+  idx l0 = 0;
+  for (; l0 + kChunk <= ld; l0 += kChunk) {
+    reflect_lanes<kChunk>(s, ld, l0, tau, keep, live);
+  }
+  if (ld - l0 == 8) {
+    reflect_lanes<8>(s, ld, l0, tau, keep, live);
+  } else if (ld - l0 == 4) {
+    reflect_lanes<4>(s, ld, l0, tau, keep, live);
+  }
+}
+
+// block_geqr2 on an m x n block staged in tile t. `col` (m entries) holds
+// the column being turned into a reflector, contiguous as the scalar
+// Householder generation needs it.
+template <typename T>
+void geqr2_rows(T* t, idx ld, idx m, idx n, T* tau, T* col) {
+  const idx kmax = m < n ? m : n;
+  for (idx k = 0; k < kmax; ++k) {
+    const idx len = m - k;
+    for (idx i = 0; i < len; ++i) col[i] = t[(k + i) * ld + k];
+    tau[k] = fast_make_householder(len, col[0], col + 1);
+    for (idx i = 0; i < len; ++i) t[(k + i) * ld + k] = col[i];
+    if (tau[k] == T(0)) continue;
+    const Support<T> s{t + k * ld, t + (k + 1) * ld, col + 1, 1, len - 1, 0, 0};
+    reflect(s, ld, tau[k], k + 1, n);
+  }
+}
+
+// block_apply on an h-row tile t; v is the factored h x w block.
+template <typename T>
+void apply_rows(ConstMatrixView<T> v, const T* tau, T* t, idx ld, idx nc,
+                bool transpose_q) {
+  const idx h = v.rows();
+  const idx w = v.cols() < h ? v.cols() : h;
+  for (idx s = 0; s < w; ++s) {
+    const idx j = transpose_q ? s : w - 1 - s;
+    if (tau[j] == T(0)) continue;
+    const Support<T> sup{t + j * ld, t + (j + 1) * ld, v.col(j) + j + 1,
+                         1, h - j - 1, 0, 0};
+    reflect(sup, ld, tau[j], 0, nc);
+  }
+}
+
+// stacked_geqr2 on a (k*w)-row tile t; scratch as in ref::stacked_geqr2.
+template <typename T>
+void stacked_geqr2_rows(T* t, idx ld, idx w, idx k, T* tau, T* scratch) {
+  for (idx j = 0; j < w; ++j) {
+    const idx seg = j + 1;
+    const idx len = 1 + (k - 1) * seg;
+    scratch[0] = t[j * ld + j];
+    for (idx b = 1; b < k; ++b) {
+      for (idx i = 0; i < seg; ++i) {
+        scratch[1 + (b - 1) * seg + i] = t[(b * w + i) * ld + j];
+      }
+    }
+    tau[j] = fast_make_householder(len, scratch[0], scratch + 1);
+    t[j * ld + j] = scratch[0];
+    for (idx b = 1; b < k; ++b) {
+      for (idx i = 0; i < seg; ++i) {
+        t[(b * w + i) * ld + j] = scratch[1 + (b - 1) * seg + i];
+      }
+    }
+    if (tau[j] == T(0)) continue;
+    const Support<T> s{t + j * ld, t + w * ld, scratch + 1,
+                       k - 1, seg, w * ld, seg};
+    reflect(s, ld, tau[j], j + 1, w);
+  }
+}
+
+// stacked_apply on a (k*w)-row tile t; v is the factored stack.
+template <typename T>
+void stacked_apply_rows(ConstMatrixView<T> v, idx w, idx k, const T* tau,
+                        T* t, idx ld, idx nc, bool transpose_q) {
+  for (idx s = 0; s < w; ++s) {
+    const idx j = transpose_q ? s : w - 1 - s;
+    if (tau[j] == T(0)) continue;
+    const Support<T> sup{t + j * ld, t + w * ld, v.col(j) + w,
+                         k - 1, j + 1, w * ld, w};
+    reflect(sup, ld, tau[j], 0, nc);
+  }
+}
+
+}  // namespace simd
+
+// ---------------------------------------------------------------------------
+// Entry points: column-major views of any leading dimension in and out.
+// For float and double the operand being updated is staged row-major in the
+// calling thread's arena scratch (the host-side analogue of the kernel's
+// fast-memory tile), updated by the simd:: routines, and copied back.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void block_geqr2(MatrixView<T> a, T* tau) {
+  if constexpr (simd::kEnabled<T>) {
+    ArenaScope scope(Arena::thread_scratch());
+    T* col = scope.alloc<T>(static_cast<std::size_t>(a.rows()));
+    simd::on_rows(a, [&](T* t, idx ld) {
+      simd::geqr2_rows(t, ld, a.rows(), a.cols(), tau, col);
+    });
+  } else {
+    ref::block_geqr2(a, tau);
+  }
+}
+
+template <typename T>
+void block_apply(ConstMatrixView<T> v, const T* tau, MatrixView<T> c,
+                 bool transpose_q) {
+  CAQR_DCHECK(c.rows() == v.rows());
+  if constexpr (simd::kEnabled<T>) {
+    simd::on_rows(c, [&](T* t, idx ld) {
+      simd::apply_rows(v, tau, t, ld, c.cols(), transpose_q);
+    });
+  } else {
+    ref::block_apply(v, tau, c, transpose_q);
+  }
+}
+
+template <typename T>
+void stacked_geqr2(MatrixView<T> s, idx w, idx k, T* tau, T* scratch) {
+  CAQR_DCHECK(s.rows() == w * k && s.cols() == w);
+  CAQR_DCHECK(k >= 1);
+  if constexpr (simd::kEnabled<T>) {
+    simd::on_rows(s, [&](T* t, idx ld) {
+      simd::stacked_geqr2_rows(t, ld, w, k, tau, scratch);
+    });
+  } else {
+    ref::stacked_geqr2(s, w, k, tau, scratch);
+  }
+}
+
+template <typename T>
+void stacked_apply(ConstMatrixView<T> v, idx w, idx k, const T* tau,
+                   MatrixView<T> c, bool transpose_q) {
+  CAQR_DCHECK(v.rows() == w * k && v.cols() == w);
+  CAQR_DCHECK(c.rows() == w * k);
+  if constexpr (simd::kEnabled<T>) {
+    simd::on_rows(c, [&](T* t, idx ld) {
+      simd::stacked_apply_rows(v, w, k, tau, t, ld, c.cols(), transpose_q);
+    });
+  } else {
+    ref::stacked_apply(v, w, k, tau, c, transpose_q);
+  }
 }
 
 }  // namespace caqr::kernels

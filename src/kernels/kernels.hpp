@@ -110,24 +110,12 @@ struct FactorKernel {
   void run_block(idx b) const {
     const idx r0 = (*offsets)[static_cast<std::size_t>(b)];
     const idx r1 = (*offsets)[static_cast<std::size_t>(b) + 1];
-    const idx h = r1 - r0;
     const idx w = panel.cols();
-    auto blk = panel.block(r0, 0, h, w);
-    if (blk.ld() != h) {
-      // Tall-panel block: columns sit a full panel stride apart, so the
-      // factorization's column sweeps thrash cache lines and TLB entries.
-      // Stage the block contiguously (the host-side analogue of the
-      // kernel's fast-memory tile), factor, and copy back. Same scalar
-      // operations on the same values — bit-identical results.
-      ArenaScope scope(Arena::thread_scratch());
-      T* buf = scope.alloc<T>(h * w);
-      MatrixView<T> s(buf, h, w, h);
-      s.copy_from(blk.as_const());
-      block_geqr2(s, taus + b * w);
-      blk.copy_from(s.as_const());
-    } else {
-      block_geqr2(blk, taus + b * w);
-    }
+    // For float and double, block_geqr2 stages the strided tall-panel
+    // block into contiguous scratch (the host-side analogue of the kernel's
+    // fast-memory tile), so the reflector sweeps never walk the panel
+    // stride.
+    block_geqr2(panel.block(r0, 0, r1 - r0, w), taus + b * w);
   }
 
   BlockStats block_stats(idx b) const {
@@ -287,32 +275,11 @@ struct ApplyQtHKernel {
     const idx w = panel.cols();
     const idx c0 = ct * tile_cols;
     const idx nc = std::min(tile_cols, trailing.cols() - c0);
-    auto v = panel.block(r0, 0, h, w);
-    auto c = trailing.block(r0, c0, h, nc);
-    if (v.ld() != h || c.ld() != h) {
-      // Both operands stride by the full panel height between columns;
-      // the reflector sweep re-reads v for every trailing column, so
-      // stage both contiguously (the fast-memory tile of the simulated
-      // kernel), apply, and copy the tile back. Bit-identical: the same
-      // scalar operations run on the same values in the same order.
-      ArenaScope scope(Arena::thread_scratch());
-      T* vbuf = scope.alloc<T>(h * w);
-      T* cbuf = scope.alloc<T>(h * nc);
-      MatrixView<T> vs(vbuf, h, w, h);
-      MatrixView<T> cs(cbuf, h, nc, h);
-      vs.copy_from(v);
-      cs.copy_from(c.as_const());
-      if (transpose_q) {
-        block_apply_qt(vs.as_const(), taus + rb * w, cs);
-      } else {
-        block_apply_q(vs.as_const(), taus + rb * w, cs);
-      }
-      c.copy_from(cs.as_const());
-    } else if (transpose_q) {
-      block_apply_qt(v, taus + rb * w, c);
-    } else {
-      block_apply_q(v, taus + rb * w, c);
-    }
+    // For float and double, block_apply stages the strided trailing tile
+    // into contiguous scratch and reads the reflectors in place (each is
+    // one contiguous column).
+    block_apply(panel.block(r0, 0, h, w), taus + rb * w,
+                trailing.block(r0, c0, h, nc), transpose_q);
   }
 
   BlockStats block_stats(idx b) const {
@@ -423,11 +390,7 @@ struct ApplyQtTreeKernel {
       c.block(blk * w, 0, w, nc)
           .copy_from(trailing.as_const().block(r, c0, w, nc));
     }
-    if (transpose_q) {
-      stacked_apply_qt(u.as_const(), w, k, taus + g * w, c);
-    } else {
-      stacked_apply_q(u.as_const(), w, k, taus + g * w, c);
-    }
+    stacked_apply(u.as_const(), w, k, taus + g * w, c, transpose_q);
     for (idx blk = 0; blk < k; ++blk) {
       const idx r = rows[static_cast<std::size_t>(blk)];
       trailing.block(r, c0, w, nc).copy_from(c.as_const().block(blk * w, 0, w, nc));

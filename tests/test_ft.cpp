@@ -491,6 +491,29 @@ TEST(FtCheckpoint, CheckpointRoundTripPreservesSections) {
   std::remove(path.c_str());
 }
 
+// Empty sections round-trip without copying from or to a null pointer (the
+// sanitizer build flags memcpy on null even for zero bytes).
+TEST(FtCheckpoint, EmptySectionsRoundTrip) {
+  const std::string path = temp_path("ft_ckpt_empty.bin");
+  std::remove(path.c_str());
+
+  ft::CheckpointWriter w;
+  w.vec("none", std::vector<double>{});
+  w.matrix("flat", Matrix<float>(0, 3).view());
+  ASSERT_TRUE(w.write(path));
+
+  const auto r = ft::CheckpointReader::load(path);
+  ASSERT_TRUE(r.has_value());
+  std::vector<double> none{7.0};
+  Matrix<float> flat;
+  ASSERT_TRUE(r->vec("none", none));
+  ASSERT_TRUE(r->matrix("flat", flat));
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(flat.rows(), 0);
+  EXPECT_EQ(flat.cols(), 3);
+  std::remove(path.c_str());
+}
+
 TEST(FtCheckpoint, RpcaHaltAndResumeBitIdentical) {
   LowRankPlusSparse spec;
   spec.rank = 3;

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/block_ops.hpp"
@@ -19,11 +22,11 @@
 namespace caqr {
 namespace {
 
-using kernels::block_apply_qt;
+using kernels::block_apply;
 using kernels::block_apply_qt_flops;
 using kernels::block_geqr2;
 using kernels::block_geqr2_flops;
-using kernels::stacked_apply_qt;
+using kernels::stacked_apply;
 using kernels::stacked_apply_qt_flops;
 using kernels::stacked_geqr2;
 using kernels::stacked_geqr2_flops;
@@ -114,7 +117,7 @@ TEST(BlockApplyQt, ReproducesRFromOriginalBlock) {
 
   // Applying Q^T to the original block must reproduce [R; 0].
   auto c = a0.clone();
-  block_apply_qt(f.as_const(), tau.data(), c.view());
+  block_apply(f.as_const(), tau.data(), c.view(), true);
   for (idx j = 0; j < w; ++j) {
     for (idx i = 0; i < h; ++i) {
       const double expect = i <= j ? f(i, j) : 0.0;
@@ -132,8 +135,8 @@ TEST(BlockApplyQ, InverseOfApplyQt) {
 
   auto c0 = gaussian_matrix<double>(h, 7, 8);
   auto c = c0.clone();
-  block_apply_qt(f.as_const(), tau.data(), c.view());
-  kernels::block_apply_q(f.as_const(), tau.data(), c.view());
+  block_apply(f.as_const(), tau.data(), c.view(), true);
+  block_apply(f.as_const(), tau.data(), c.view(), false);
   for (idx j = 0; j < 7; ++j) {
     for (idx i = 0; i < h; ++i) ASSERT_NEAR(c(i, j), c0(i, j), 1e-11);
   }
@@ -216,7 +219,7 @@ TEST(StackedApplyQt, ReproducesCombinedRFromStack) {
 
   // Q^T applied to the original stack must give [R; 0] (structured).
   auto c = s0.clone();
-  stacked_apply_qt(s.as_const(), w, k, tau.data(), c.view());
+  stacked_apply(s.as_const(), w, k, tau.data(), c.view(), true);
   for (idx j = 0; j < w; ++j) {
     for (idx i = 0; i < k * w; ++i) {
       const double expect = i <= j ? s(i, j) : 0.0;
@@ -234,8 +237,8 @@ TEST(StackedApplyQ, InverseOfApplyQt) {
 
   auto c0 = gaussian_matrix<double>(k * w, 5, 42);
   auto c = c0.clone();
-  stacked_apply_qt(s.as_const(), w, k, tau.data(), c.view());
-  kernels::stacked_apply_q(s.as_const(), w, k, tau.data(), c.view());
+  stacked_apply(s.as_const(), w, k, tau.data(), c.view(), true);
+  stacked_apply(s.as_const(), w, k, tau.data(), c.view(), false);
   for (idx j = 0; j < 5; ++j) {
     for (idx i = 0; i < k * w; ++i) ASSERT_NEAR(c(i, j), c0(i, j), 1e-12);
   }
@@ -276,7 +279,7 @@ TEST_P(FlopCountShapes, BlockApplyQtCountIsExact) {
   const idx ncols = 5;
   auto c = counted_from(gaussian_matrix<double>(h, ncols, 9).view());
   const long long ops = count_ops(
-      [&] { block_apply_qt(f.as_const(), tau.data(), c.view()); });
+      [&] { block_apply(f.as_const(), tau.data(), c.view(), true); });
   EXPECT_EQ(static_cast<double>(ops), block_apply_qt_flops(h, w, ncols));
 }
 
@@ -309,7 +312,7 @@ TEST(FlopCount, StackedApplyQtCountIsExact) {
 
   auto c = counted_from(gaussian_matrix<double>(k * w, ncols, 23).view());
   const long long ops = count_ops(
-      [&] { stacked_apply_qt(s.as_const(), w, k, tau.data(), c.view()); });
+      [&] { stacked_apply(s.as_const(), w, k, tau.data(), c.view(), true); });
   EXPECT_EQ(static_cast<double>(ops), stacked_apply_qt_flops(w, k, ncols));
 }
 
@@ -404,14 +407,13 @@ TEST(StagedKernels, FactorBitIdenticalToUnstagedOnStridedPanel) {
                                     8.0, 1.0};
     for (idx b = 0; b < k.num_blocks(); ++b) k.run_block(b);  // staged path
 
-    // Reference: the raw numerical core on each strided block view.
+    // Reference: the reference loops on each strided block view.
     std::vector<double> rtaus(4 * static_cast<std::size_t>(w), 0.0);
     for (idx b = 0; b < 4; ++b) {
-      block_geqr2(ref.view().block(offsets[static_cast<std::size_t>(b)], 0,
-                                   offsets[static_cast<std::size_t>(b) + 1] -
-                                       offsets[static_cast<std::size_t>(b)],
-                                   w),
-                  rtaus.data() + b * w);
+      const idx r0 = offsets[static_cast<std::size_t>(b)];
+      const idx h = offsets[static_cast<std::size_t>(b) + 1] - r0;
+      kernels::ref::block_geqr2(ref.view().block(r0, 0, h, w),
+                                rtaus.data() + b * w);
     }
     for (idx j = 0; j < w; ++j) {
       for (idx i = 0; i < m; ++i) {
@@ -449,14 +451,15 @@ TEST(StagedKernels, ApplyQtBitIdenticalToUnstagedOnStridedTrailing) {
                                        8.0, 1.0, false, true};
     for (idx b = 0; b < ak.num_blocks(); ++b) ak.run_block(b);  // staged
 
-    // Reference: raw core on the strided views, same tile decomposition.
+    // Reference: the reference loops on the strided views, same tiles.
     for (idx b = 0; b < 2; ++b) {
       const idx r0 = offsets[static_cast<std::size_t>(b)];
       const idx h = offsets[static_cast<std::size_t>(b) + 1] - r0;
       for (idx c0 = 0; c0 < nc; c0 += 16) {
         const idx tc = std::min<idx>(16, nc - c0);
-        block_apply_qt(panel.view().as_const().block(r0, 0, h, w),
-                       taus.data() + b * w, ref.view().block(r0, c0, h, tc));
+        kernels::ref::block_apply(panel.view().as_const().block(r0, 0, h, w),
+                                  taus.data() + b * w,
+                                  ref.view().block(r0, c0, h, tc), true);
       }
     }
     for (idx j = 0; j < nc; ++j) {
@@ -466,6 +469,178 @@ TEST(StagedKernels, ApplyQtBitIdenticalToUnstagedOnStridedTrailing) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Vectorized float/double cores vs the reference loops: every element and
+// every tau must match bit for bit, over ragged sizes (chunk tails, single
+// rows and columns), zero-tail columns (tau == 0) and the 1e+-300 (1e+-30
+// for float) scalings that trip the xLARFG rescue path.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+auto bits(T x) {
+  using U = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  return std::bit_cast<U>(x);
+}
+
+template <typename T>
+void expect_same_bits(ConstMatrixView<T> got, ConstMatrixView<T> want,
+                      const T* tau_got, const T* tau_want, idx ntau) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (idx j = 0; j < got.cols(); ++j) {
+    for (idx i = 0; i < got.rows(); ++i) {
+      ASSERT_EQ(bits(got(i, j)), bits(want(i, j))) << "(" << i << "," << j << ")";
+    }
+  }
+  for (idx j = 0; j < ntau; ++j) {
+    ASSERT_EQ(bits(tau_got[j]), bits(tau_want[j])) << "tau " << j;
+  }
+}
+
+enum class Input { Gaussian, Huge, Tiny, ZeroTail };
+constexpr Input kInputs[] = {Input::Gaussian, Input::Huge, Input::Tiny,
+                             Input::ZeroTail};
+
+template <typename T>
+double extreme_scale() {
+  return std::is_same_v<T, float> ? 1e30 : 1e300;
+}
+
+// m x n input embedded at row 1 of an (m + 3)-row matrix, so the kernels see
+// a strided view (ld > rows).
+template <typename T>
+Matrix<T> vector_test_input(idx m, idx n, int seed, Input kind) {
+  const double scale = kind == Input::Huge   ? extreme_scale<T>()
+                       : kind == Input::Tiny ? 1.0 / extreme_scale<T>()
+                                             : 1.0;
+  auto a = scaled_panel<T>(m + 3, n, seed, scale);
+  if (kind == Input::ZeroTail) {
+    // Column 0 has a zero tail below the pivot (tau == 0 at once); the
+    // last column is zero outright, so its reflector is the identity too.
+    for (idx i = 2; i < m + 3; ++i) a(i, 0) = T(0);
+    for (idx i = 0; i < m + 3; ++i) a(i, n - 1) = T(0);
+  }
+  return a;
+}
+
+template <typename T>
+void block_kernels_match_reference() {
+  for (const idx w : {1, 4, 16, 17}) {
+    for (const idx h : {idx{1}, idx{2}, w - 1, w, idx{128}, idx{257}}) {
+      if (h < 1) continue;
+      for (const Input kind : kInputs) {
+        SCOPED_TRACE(::testing::Message() << "h=" << h << " w=" << w
+                                          << " input=" << static_cast<int>(kind));
+        auto a = vector_test_input<T>(h, w, 3, kind);
+        auto a_ref = Matrix<T>::from(a.view().as_const());
+        std::vector<T> tau(static_cast<std::size_t>(w), T(-1));
+        std::vector<T> tau_ref(tau);
+        block_geqr2(a.view().block(1, 0, h, w), tau.data());
+        kernels::ref::block_geqr2(a_ref.view().block(1, 0, h, w), tau_ref.data());
+        expect_same_bits<T>(a.view(), a_ref.view(), tau.data(), tau_ref.data(),
+                            std::min(h, w));
+        if (::testing::Test::HasFatalFailure()) return;
+
+        const auto v = a_ref.view().as_const().block(1, 0, h, w);
+        for (const idx nc : {1, 4, 16, 20}) {
+          for (const bool transpose_q : {true, false}) {
+            SCOPED_TRACE(::testing::Message() << "nc=" << nc << " qt=" << transpose_q);
+            auto c = vector_test_input<T>(h, nc, 5, kind);
+            auto c_ref = Matrix<T>::from(c.view().as_const());
+            block_apply(v, tau_ref.data(), c.view().block(1, 0, h, nc), transpose_q);
+            kernels::ref::block_apply(v, tau_ref.data(),
+                                      c_ref.view().block(1, 0, h, nc), transpose_q);
+            expect_same_bits<T>(c.view(), c_ref.view(), nullptr, nullptr, 0);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorKernels, BlockGeqr2AndApplyBitIdenticalToReferenceF32) {
+  block_kernels_match_reference<float>();
+}
+
+TEST(VectorKernels, BlockGeqr2AndApplyBitIdenticalToReferenceF64) {
+  block_kernels_match_reference<double>();
+}
+
+// k stacked w x w upper triangles, with the Input's scaling and zero tails.
+template <typename T>
+Matrix<T> triangle_stack(idx w, idx k, int seed, Input kind) {
+  auto full = vector_test_input<T>(k * w, w, seed, kind);
+  auto s = Matrix<T>::zeros(k * w, w);
+  for (idx b = 0; b < k; ++b) {
+    for (idx j = 0; j < w; ++j) {
+      for (idx i = 0; i <= j; ++i) s(b * w + i, j) = full(1 + b * w + i, j);
+    }
+  }
+  if (kind == Input::ZeroTail) {
+    for (idx b = 1; b < k; ++b) s(b * w, 0) = T(0);  // column 0: tau == 0
+  }
+  return s;
+}
+
+template <typename T>
+void stacked_kernels_match_reference() {
+  for (const idx w : {1, 4, 16, 17}) {
+    for (const idx k : {2, 4, 8}) {
+      for (const Input kind : kInputs) {
+        SCOPED_TRACE(::testing::Message() << "w=" << w << " k=" << k
+                                          << " input=" << static_cast<int>(kind));
+        auto s = triangle_stack<T>(w, k, 7, kind);
+        auto s_ref = Matrix<T>::from(s.view().as_const());
+        std::vector<T> tau(static_cast<std::size_t>(w), T(-1));
+        std::vector<T> tau_ref(tau);
+        std::vector<T> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
+        stacked_geqr2(s.view(), w, k, tau.data(), scratch.data());
+        kernels::ref::stacked_geqr2(s_ref.view(), w, k, tau_ref.data(),
+                                    scratch.data());
+        expect_same_bits<T>(s.view(), s_ref.view(), tau.data(), tau_ref.data(), w);
+        if (::testing::Test::HasFatalFailure()) return;
+
+        for (const idx nc : {1, 4, 16, 20}) {
+          for (const bool transpose_q : {true, false}) {
+            SCOPED_TRACE(::testing::Message() << "nc=" << nc << " qt=" << transpose_q);
+            auto c = vector_test_input<T>(k * w, nc, 9, kind);
+            auto c_ref = Matrix<T>::from(c.view().as_const());
+            stacked_apply(s_ref.as_const(), w, k, tau_ref.data(),
+                          c.view().block(1, 0, k * w, nc), transpose_q);
+            kernels::ref::stacked_apply(s_ref.as_const(), w, k, tau_ref.data(),
+                                        c_ref.view().block(1, 0, k * w, nc),
+                                        transpose_q);
+            expect_same_bits<T>(c.view(), c_ref.view(), nullptr, nullptr, 0);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorKernels, StackedGeqr2AndApplyBitIdenticalToReferenceF32) {
+  stacked_kernels_match_reference<float>();
+}
+
+TEST(VectorKernels, StackedGeqr2AndApplyBitIdenticalToReferenceF64) {
+  stacked_kernels_match_reference<double>();
+}
+
+// The zero-tail inputs above must really produce identity reflectors.
+TEST(VectorKernels, ZeroTailInputsGiveZeroTau) {
+  auto a = vector_test_input<double>(16, 4, 3, Input::ZeroTail);
+  std::vector<double> tau(4);
+  block_geqr2(a.view().block(1, 0, 16, 4), tau.data());
+  EXPECT_EQ(tau[0], 0.0);
+  EXPECT_EQ(tau[3], 0.0);
+  auto s = triangle_stack<float>(4, 2, 7, Input::ZeroTail);
+  std::vector<float> stau(4), scratch(5);
+  stacked_geqr2(s.view(), 4, 2, stau.data(), scratch.data());
+  EXPECT_EQ(stau[0], 0.0f);
 }
 
 }  // namespace
