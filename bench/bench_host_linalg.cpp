@@ -94,6 +94,37 @@ void BM_BlockApplyQt(benchmark::State& state) {
 BENCHMARK(BM_BlockApplyQt<false>)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_BlockApplyQt<true>)->Arg(128);
 
+// block_apply at each ISA level (arg isa: 0 SSE2, 1 AVX2, 2 AVX-512) on a
+// 128 x 16 block and a 16-column tile, both directions (arg qt). A level
+// the host lacks reports an error instead of a time; the context line
+// `dispatched_isa` names the level the unqualified entry points run at.
+void BM_BlockApplyIsa(benchmark::State& state) {
+  const auto isa = static_cast<kernels::simd::Isa>(state.range(0));
+  const bool transpose_q = state.range(1) != 0;
+  if (!kernels::simd::supports(isa)) {
+    state.SkipWithError("host lacks this ISA level");
+    return;
+  }
+  state.SetLabel(kernels::simd::isa_name(isa));
+  const idx h = 128, w = 16;
+  auto f = gaussian_matrix<float>(h, w, 6);
+  std::vector<float> tau(static_cast<std::size_t>(w));
+  kernels::block_geqr2(f.view(), tau.data());
+  auto c0 = gaussian_matrix<float>(h, w, 7);
+  Matrix<float> c(h, w);
+  for (auto _ : state) {
+    c.view().copy_from(c0.view());
+    kernels::simd::block_apply(isa, f.as_const(), tau.data(), c.view(),
+                               transpose_q);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(kernels::block_apply_qt_flops(h, w, w)));
+}
+BENCHMARK(BM_BlockApplyIsa)->ArgsProduct({{0, 1, 2}, {1, 0}})->ArgNames({"isa", "qt"});
+
 // The apply_qt_h kernel as a launch runs it: every (row block x 16-column
 // tile) of a tall strided panel, each tile staged into arena scratch.
 void BM_ApplyQtHKernelStaged(benchmark::State& state) {
@@ -206,4 +237,13 @@ BENCHMARK(BM_StackedApplyQt)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "dispatched_isa",
+      caqr::kernels::simd::isa_name(caqr::kernels::simd::active_isa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

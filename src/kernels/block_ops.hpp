@@ -33,9 +33,11 @@
 //              column per lane. Each lane performs the scalar operations of
 //              the reference chain for its column, in the same order, with
 //              multiply and add kept separate (the build pins
-//              -ffp-contract=off), so the results are bit-identical.
-// The unqualified entry points pick simd:: for float and double and ref::
-// for every other scalar type.
+//              -ffp-contract=off), so the results are bit-identical. Every
+//              routine is compiled once per ISA level (SSE2, AVX2,
+//              AVX-512); the level is picked once per process.
+// The unqualified entry points pick simd:: at the host's best level for
+// float and double and ref:: for every other scalar type.
 
 #include <algorithm>
 #include <cmath>
@@ -296,20 +298,109 @@ template <typename T>
 inline constexpr bool kEnabled =
     std::is_same_v<T, float> || std::is_same_v<T, double>;
 
-// Lanes of a full chunk. Sixteen lanes give the serial dot-product chain
-// enough independent accumulators (four SSE2 registers of floats) to cover
-// the add latency; the tile's last columns use a 4-, 8- or 16-lane chunk.
+// ISA levels every routine below is compiled for (DESIGN.md §16.2). The
+// unqualified entry points run at active_isa(); tests run each level.
+enum class Isa { Sse2, Avx2, Avx512 };
+inline constexpr Isa kIsas[] = {Isa::Sse2, Isa::Avx2, Isa::Avx512};
+
+inline const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::Avx512: return "avx512";
+    case Isa::Avx2: return "avx2";
+    case Isa::Sse2: break;
+  }
+  return "sse2";
+}
+
+// Bytes of one vector register at a level. SSE2 is the x86-64 baseline;
+// other targets run only the 16-byte level.
+template <Isa I>
+inline constexpr int kVecBytes = I == Isa::Avx512 ? 64 : I == Isa::Avx2 ? 32 : 16;
+
+// Whether this host can run level `isa`: the CPU has the instructions and
+// the OS saves their registers.
+inline bool supports(Isa isa) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  switch (isa) {
+    case Isa::Avx512:
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512vl") &&
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512dq");
+    case Isa::Avx2:
+      return __builtin_cpu_supports("avx2");
+    case Isa::Sse2:
+      break;
+  }
+  return true;
+#else
+  return isa == Isa::Sse2;
+#endif
+}
+
+// The level the unqualified entry points run at: the best one the host
+// supports, picked once per process.
+inline Isa active_isa() {
+  static const Isa isa = supports(Isa::Avx512) ? Isa::Avx512
+                         : supports(Isa::Avx2) ? Isa::Avx2
+                                               : Isa::Sse2;
+  return isa;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define CAQR_SIMD_TARGET(isa) __attribute__((target(isa)))
+#else
+#define CAQR_SIMD_TARGET(isa)
+#endif
+
+// run_<level><I>(fn) calls fn.template operator()<I>() inside a function
+// compiled for that level; flatten inlines everything fn calls into it, so
+// the whole routine compiles for the level. fma is deliberately not
+// enabled. The level is a template parameter of every function carrying a
+// target attribute: otherwise the linker could keep one level's body for
+// another level's callers.
+template <Isa I, typename Fn>
+__attribute__((flatten)) void run_sse2(Fn& fn) {
+  fn.template operator()<I>();
+}
+
+template <Isa I, typename Fn>
+__attribute__((flatten)) CAQR_SIMD_TARGET("avx2") void run_avx2(Fn& fn) {
+  fn.template operator()<I>();
+}
+
+template <Isa I, typename Fn>
+__attribute__((flatten))
+CAQR_SIMD_TARGET("avx512f,avx512vl,avx512bw,avx512dq")
+void run_avx512(Fn& fn) {
+  fn.template operator()<I>();
+}
+
+#undef CAQR_SIMD_TARGET
+
+template <typename Fn>
+void run_at(Isa isa, Fn&& fn) {
+  CAQR_DCHECK(supports(isa));
+  switch (isa) {
+    case Isa::Avx512: return run_avx512<Isa::Avx512>(fn);
+    case Isa::Avx2: return run_avx2<Isa::Avx2>(fn);
+    case Isa::Sse2: break;
+  }
+  run_sse2<Isa::Sse2>(fn);
+}
+
+// Lanes of a full chunk, at every level: the kernels' 16-column tile. The
+// tile's last columns use a 4-, 8- or 16-lane chunk.
 inline constexpr idx kChunk = 16;
 
-// Bytes of one vector register of the compile target: SSE2 at the x86-64
-// baseline, wider when the build enables AVX or AVX-512.
-#if defined(__AVX512F__)
-inline constexpr int kVecBytes = 64;
-#elif defined(__AVX__)
-inline constexpr int kVecBytes = 32;
-#else
-inline constexpr int kVecBytes = 16;
-#endif
+// A chunk of L lanes is held as L / kLanes native vectors of the level, at
+// most kMaxBytes wide, so the accumulators stay in registers (four at SSE2
+// for 16 floats, one at AVX-512); one wide GCC vector of L lanes would be
+// lowered through the stack.
+template <Isa I, int L, typename T, int kMaxBytes = 64>
+inline constexpr int kLanes = std::min<int>(
+    L, std::min(kVecBytes<I>, kMaxBytes) / static_cast<int>(sizeof(T)));
 
 // Row length of a staged tile holding `cols` columns: whole chunks plus one
 // zero-padded tail chunk.
@@ -358,21 +449,21 @@ struct Support {
 //   pivot -= tw; row_i -= tw * v[i].
 // With kMasked, lanes below `keep` are computed but not stored.
 //
-// A chunk is held as P native vectors of kW lanes (the target ISA's
-// register width), so the accumulators stay in registers; one wide GCC
-// vector of L lanes would be lowered through the stack.
-template <int L, bool kMasked, typename T>
+// Vectors here are at most 32 bytes, also at AVX-512: with 64-byte vectors
+// factor and factor_tree ran slower, and so did stream_cameras, which runs
+// little else (EXPERIMENTS.md E24).
+template <Isa I, int L, bool kMasked, typename T>
 void reflect_chunk(const Support<T> s, idx ld, idx l0, T tau, idx keep) {
-  constexpr int kW = std::min<int>(L, kVecBytes / static_cast<int>(sizeof(T)));
+  constexpr int kW = kLanes<I, L, T, 32>;
   constexpr int P = L / kW;
   typedef T V __attribute__((vector_size(kW * sizeof(T))));
-  using I = std::conditional_t<sizeof(T) == 4, std::int32_t, std::int64_t>;
-  typedef I M __attribute__((vector_size(kW * sizeof(T))));
+  using Int = std::conditional_t<sizeof(T) == 4, std::int32_t, std::int64_t>;
+  typedef Int M __attribute__((vector_size(kW * sizeof(T))));
   M store[P] = {};  // all-ones in the lanes to write back
   if constexpr (kMasked) {
-    for (int q = 0; q < L; ++q) {
-      store[q / kW][q % kW] = l0 + q >= keep ? I(-1) : I(0);
-    }
+    Int lanes[L];
+    for (int q = 0; q < L; ++q) lanes[q] = l0 + q >= keep ? Int(-1) : Int(0);
+    std::memcpy(store, lanes, sizeof(store));
   }
   // The support is taken by value and v[i] read once per row: stores to
   // the tile could otherwise alias them and force reloads.
@@ -420,37 +511,37 @@ void reflect_chunk(const Support<T> s, idx ld, idx l0, T tau, idx keep) {
   }
 }
 
-template <int L, typename T>
+template <Isa I, int L, typename T>
 void reflect_lanes(const Support<T>& s, idx ld, idx l0, T tau, idx keep,
                    idx live) {
   if (l0 + L <= keep || l0 >= live) return;
   if (l0 >= keep) {
-    reflect_chunk<L, false>(s, ld, l0, tau, keep);
+    reflect_chunk<I, L, false>(s, ld, l0, tau, keep);
   } else {
-    reflect_chunk<L, true>(s, ld, l0, tau, keep);
+    reflect_chunk<I, L, true>(s, ld, l0, tau, keep);
   }
 }
 
 // Applies one reflector to lanes [keep, live) of a tile of ld = tile_ld()
 // lanes, chunk by chunk. Other lanes keep their values, except padding
 // lanes (>= live) sharing a chunk with live ones, which nothing reads.
-template <typename T>
+template <Isa I, typename T>
 void reflect(const Support<T>& s, idx ld, T tau, idx keep, idx live) {
   idx l0 = 0;
   for (; l0 + kChunk <= ld; l0 += kChunk) {
-    reflect_lanes<kChunk>(s, ld, l0, tau, keep, live);
+    reflect_lanes<I, kChunk>(s, ld, l0, tau, keep, live);
   }
   if (ld - l0 == 8) {
-    reflect_lanes<8>(s, ld, l0, tau, keep, live);
+    reflect_lanes<I, 8>(s, ld, l0, tau, keep, live);
   } else if (ld - l0 == 4) {
-    reflect_lanes<4>(s, ld, l0, tau, keep, live);
+    reflect_lanes<I, 4>(s, ld, l0, tau, keep, live);
   }
 }
 
 // block_geqr2 on an m x n block staged in tile t. `col` (m entries) holds
 // the column being turned into a reflector, contiguous as the scalar
 // Householder generation needs it.
-template <typename T>
+template <Isa I, typename T>
 void geqr2_rows(T* t, idx ld, idx m, idx n, T* tau, T* col) {
   const idx kmax = m < n ? m : n;
   for (idx k = 0; k < kmax; ++k) {
@@ -460,27 +551,127 @@ void geqr2_rows(T* t, idx ld, idx m, idx n, T* tau, T* col) {
     for (idx i = 0; i < len; ++i) t[(k + i) * ld + k] = col[i];
     if (tau[k] == T(0)) continue;
     const Support<T> s{t + k * ld, t + (k + 1) * ld, col + 1, 1, len - 1, 0, 0};
-    reflect(s, ld, tau[k], k + 1, n);
+    reflect<I>(s, ld, tau[k], k + 1, n);
   }
 }
 
-// block_apply on an h-row tile t; v is the factored h x w block.
-template <typename T>
-void apply_rows(ConstMatrixView<T> v, const T* tau, T* t, idx ld, idx nc,
-                bool transpose_q) {
+// Applies the reflectors of v (ascending for Q^T, descending for Q) to
+// lanes [0, L) of the h-row tile t as a fused sweep: one pass over the rows
+// applies the pending update of reflector j and accumulates the dot
+// product of the next applied reflector n, so the tile is swept w + 1
+// times instead of 2w. Per lane the operations are apply_reflector_column's,
+// in its order: n's pivot row is read after j updated it, and its
+// remaining rows are added in ascending order, each after j's update.
+template <Isa I, int L, typename T>
+void sweep_chunk(ConstMatrixView<T> v, const T* tau, T* t, idx ld,
+                 bool transpose_q) {
+  constexpr int kW = kLanes<I, L, T>;
+  constexpr int P = L / kW;
+  typedef T V __attribute__((vector_size(kW * sizeof(T))));
   const idx h = v.rows();
   const idx w = v.cols() < h ? v.cols() : h;
-  for (idx s = 0; s < w; ++s) {
-    const idx j = transpose_q ? s : w - 1 - s;
-    if (tau[j] == T(0)) continue;
-    const Support<T> sup{t + j * ld, t + (j + 1) * ld, v.col(j) + j + 1,
-                         1, h - j - 1, 0, 0};
-    reflect(sup, ld, tau[j], 0, nc);
+  V acc[P], tw[P];
+  // acc = row r.
+  const auto start = [&](idx r) {
+#pragma GCC unroll 16
+    for (int p = 0; p < P; ++p) {
+      std::memcpy(&acc[p], t + r * ld + p * kW, sizeof(V));
+    }
+  };
+  // acc += vn[i] * row i, rows [i0, i1).
+  const auto dot = [&](const T* vn, idx i0, idx i1) {
+    for (idx i = i0; i < i1; ++i) {
+      const T b = vn[i];
+      const T* row = t + i * ld;
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        V x;
+        std::memcpy(&x, row + p * kW, sizeof(V));
+        acc[p] += b * x;
+      }
+    }
+  };
+  // row i -= tw * vj[i], rows [i0, i1); with_dot adds acc += vn[i] * row i.
+  const auto update = [&](auto with_dot, const T* vj, const T* vn, idx i0,
+                          idx i1) {
+    for (idx i = i0; i < i1; ++i) {
+      const T a = vj[i];
+      T b = T(0);
+      if constexpr (with_dot) b = vn[i];
+      T* row = t + i * ld;
+#pragma GCC unroll 16
+      for (int p = 0; p < P; ++p) {
+        V x;
+        std::memcpy(&x, row + p * kW, sizeof(V));
+        const V y = x - tw[p] * a;
+        std::memcpy(row + p * kW, &y, sizeof(V));
+        if constexpr (with_dot) acc[p] += b * y;
+      }
+    }
+  };
+  constexpr std::false_type kUpdateOnly{};
+  constexpr std::true_type kWithDot{};
+  // Step s applies reflector j(s); steps with tau == 0 are skipped.
+  const auto refl = [&](idx s) { return transpose_q ? s : w - 1 - s; };
+  const auto next_step = [&](idx s) {
+    while (s < w && tau[refl(s)] == T(0)) ++s;
+    return s;
+  };
+  idx s = next_step(0);
+  if (s == w) return;
+  idx j = refl(s);
+  start(j);
+  dot(v.col(j), j + 1, h);
+  for (;;) {
+    T* pivot = t + j * ld;
+#pragma GCC unroll 16
+    for (int p = 0; p < P; ++p) {
+      tw[p] = tau[j] * acc[p];
+      V x;
+      std::memcpy(&x, pivot + p * kW, sizeof(V));
+      const V y = x - tw[p];
+      std::memcpy(pivot + p * kW, &y, sizeof(V));
+    }
+    const T* vj = v.col(j);
+    s = next_step(s + 1);
+    if (s == w) {
+      update(kUpdateOnly, vj, nullptr, j + 1, h);
+      return;
+    }
+    const idx n = refl(s);
+    const T* vn = v.col(n);
+    if (n > j) {
+      // Rows j+1..n take j's update only; row n, updated, starts n's dot.
+      update(kUpdateOnly, vj, nullptr, j + 1, n + 1);
+      start(n);
+    } else {
+      // Rows n..j-1 are outside j's support; row j was just updated.
+      start(n);
+      dot(vn, n + 1, j + 1);
+    }
+    update(kWithDot, vj, vn, std::max(n, j) + 1, h);
+    j = n;
+  }
+}
+
+// block_apply on an h-row tile t of ld = tile_ld() lanes; v is the factored
+// h x w block.
+template <Isa I, typename T>
+void apply_rows(ConstMatrixView<T> v, const T* tau, T* t, idx ld,
+                bool transpose_q) {
+  idx l0 = 0;
+  for (; l0 + kChunk <= ld; l0 += kChunk) {
+    sweep_chunk<I, kChunk>(v, tau, t + l0, ld, transpose_q);
+  }
+  if (ld - l0 == 8) {
+    sweep_chunk<I, 8>(v, tau, t + l0, ld, transpose_q);
+  } else if (ld - l0 == 4) {
+    sweep_chunk<I, 4>(v, tau, t + l0, ld, transpose_q);
   }
 }
 
 // stacked_geqr2 on a (k*w)-row tile t; scratch as in ref::stacked_geqr2.
-template <typename T>
+template <Isa I, typename T>
 void stacked_geqr2_rows(T* t, idx ld, idx w, idx k, T* tau, T* scratch) {
   for (idx j = 0; j < w; ++j) {
     const idx seg = j + 1;
@@ -501,12 +692,12 @@ void stacked_geqr2_rows(T* t, idx ld, idx w, idx k, T* tau, T* scratch) {
     if (tau[j] == T(0)) continue;
     const Support<T> s{t + j * ld, t + w * ld, scratch + 1,
                        k - 1, seg, w * ld, seg};
-    reflect(s, ld, tau[j], j + 1, w);
+    reflect<I>(s, ld, tau[j], j + 1, w);
   }
 }
 
 // stacked_apply on a (k*w)-row tile t; v is the factored stack.
-template <typename T>
+template <Isa I, typename T>
 void stacked_apply_rows(ConstMatrixView<T> v, idx w, idx k, const T* tau,
                         T* t, idx ld, idx nc, bool transpose_q) {
   for (idx s = 0; s < w; ++s) {
@@ -514,27 +705,68 @@ void stacked_apply_rows(ConstMatrixView<T> v, idx w, idx k, const T* tau,
     if (tau[j] == T(0)) continue;
     const Support<T> sup{t + j * ld, t + w * ld, v.col(j) + w,
                          k - 1, j + 1, w * ld, w};
-    reflect(sup, ld, tau[j], 0, nc);
+    reflect<I>(sup, ld, tau[j], 0, nc);
   }
+}
+
+// The entry points below at a given level: each stages its operand
+// row-major in the calling thread's arena scratch (the host-side analogue
+// of the kernel's fast-memory tile), updates it at level `isa`, and copies
+// it back. Tests call them for every level the host supports.
+
+template <typename T>
+void block_geqr2(Isa isa, MatrixView<T> a, T* tau) {
+  ArenaScope scope(Arena::thread_scratch());
+  T* col = scope.alloc<T>(static_cast<std::size_t>(a.rows()));
+  run_at(isa, [&]<Isa I>() {
+    on_rows(a, [&](T* t, idx ld) {
+      geqr2_rows<I>(t, ld, a.rows(), a.cols(), tau, col);
+    });
+  });
+}
+
+template <typename T>
+void block_apply(Isa isa, ConstMatrixView<T> v, const T* tau, MatrixView<T> c,
+                 bool transpose_q) {
+  run_at(isa, [&]<Isa I>() {
+    on_rows(c, [&](T* t, idx ld) {
+      apply_rows<I>(v, tau, t, ld, transpose_q);
+    });
+  });
+}
+
+template <typename T>
+void stacked_geqr2(Isa isa, MatrixView<T> s, idx w, idx k, T* tau,
+                   T* scratch) {
+  run_at(isa, [&]<Isa I>() {
+    on_rows(s, [&](T* t, idx ld) {
+      stacked_geqr2_rows<I>(t, ld, w, k, tau, scratch);
+    });
+  });
+}
+
+template <typename T>
+void stacked_apply(Isa isa, ConstMatrixView<T> v, idx w, idx k, const T* tau,
+                   MatrixView<T> c, bool transpose_q) {
+  run_at(isa, [&]<Isa I>() {
+    on_rows(c, [&](T* t, idx ld) {
+      stacked_apply_rows<I>(v, w, k, tau, t, ld, c.cols(), transpose_q);
+    });
+  });
 }
 
 }  // namespace simd
 
 // ---------------------------------------------------------------------------
 // Entry points: column-major views of any leading dimension in and out.
-// For float and double the operand being updated is staged row-major in the
-// calling thread's arena scratch (the host-side analogue of the kernel's
-// fast-memory tile), updated by the simd:: routines, and copied back.
+// Float and double run the simd:: routines at simd::active_isa(); every
+// other scalar type runs the ref:: loops.
 // ---------------------------------------------------------------------------
 
 template <typename T>
 void block_geqr2(MatrixView<T> a, T* tau) {
   if constexpr (simd::kEnabled<T>) {
-    ArenaScope scope(Arena::thread_scratch());
-    T* col = scope.alloc<T>(static_cast<std::size_t>(a.rows()));
-    simd::on_rows(a, [&](T* t, idx ld) {
-      simd::geqr2_rows(t, ld, a.rows(), a.cols(), tau, col);
-    });
+    simd::block_geqr2(simd::active_isa(), a, tau);
   } else {
     ref::block_geqr2(a, tau);
   }
@@ -545,9 +777,7 @@ void block_apply(ConstMatrixView<T> v, const T* tau, MatrixView<T> c,
                  bool transpose_q) {
   CAQR_DCHECK(c.rows() == v.rows());
   if constexpr (simd::kEnabled<T>) {
-    simd::on_rows(c, [&](T* t, idx ld) {
-      simd::apply_rows(v, tau, t, ld, c.cols(), transpose_q);
-    });
+    simd::block_apply(simd::active_isa(), v, tau, c, transpose_q);
   } else {
     ref::block_apply(v, tau, c, transpose_q);
   }
@@ -558,9 +788,7 @@ void stacked_geqr2(MatrixView<T> s, idx w, idx k, T* tau, T* scratch) {
   CAQR_DCHECK(s.rows() == w * k && s.cols() == w);
   CAQR_DCHECK(k >= 1);
   if constexpr (simd::kEnabled<T>) {
-    simd::on_rows(s, [&](T* t, idx ld) {
-      simd::stacked_geqr2_rows(t, ld, w, k, tau, scratch);
-    });
+    simd::stacked_geqr2(simd::active_isa(), s, w, k, tau, scratch);
   } else {
     ref::stacked_geqr2(s, w, k, tau, scratch);
   }
@@ -572,9 +800,7 @@ void stacked_apply(ConstMatrixView<T> v, idx w, idx k, const T* tau,
   CAQR_DCHECK(v.rows() == w * k && v.cols() == w);
   CAQR_DCHECK(c.rows() == w * k);
   if constexpr (simd::kEnabled<T>) {
-    simd::on_rows(c, [&](T* t, idx ld) {
-      simd::stacked_apply_rows(v, w, k, tau, t, ld, c.cols(), transpose_q);
-    });
+    simd::stacked_apply(simd::active_isa(), v, w, k, tau, c, transpose_q);
   } else {
     ref::stacked_apply(v, w, k, tau, c, transpose_q);
   }

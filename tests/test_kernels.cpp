@@ -8,6 +8,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <ostream>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -18,6 +22,11 @@
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/random_matrix.hpp"
+
+namespace caqr::kernels::simd {
+// Names the level in gtest's failure messages.
+void PrintTo(Isa isa, std::ostream* os) { *os << isa_name(isa); }
+}  // namespace caqr::kernels::simd
 
 namespace caqr {
 namespace {
@@ -472,11 +481,14 @@ TEST(StagedKernels, ApplyQtBitIdenticalToUnstagedOnStridedTrailing) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized float/double cores vs the reference loops: every element and
-// every tau must match bit for bit, over ragged sizes (chunk tails, single
-// rows and columns), zero-tail columns (tau == 0) and the 1e+-300 (1e+-30
-// for float) scalings that trip the xLARFG rescue path.
+// Vectorized float/double cores vs the reference loops, at every ISA level
+// the host supports: every element and every tau must match bit for bit,
+// over ragged sizes (chunk tails, single rows and columns), zero-tail
+// columns (tau == 0) and the 1e+-300 (1e+-30 for float) scalings that trip
+// the xLARFG rescue path.
 // ---------------------------------------------------------------------------
+
+using kernels::simd::Isa;
 
 template <typename T>
 auto bits(T x) {
@@ -525,8 +537,46 @@ Matrix<T> vector_test_input(idx m, idx n, int seed, Input kind) {
   return a;
 }
 
+// Column counts whose staged tiles end in a 4-, 8- and 16-lane tail chunk,
+// alone and after a full chunk.
+constexpr idx kTileCols[] = {1, 4, 7, 13, 16, 20, 24, 29};
+
+// Runs every test at each ISA level; levels the host lacks are skipped.
+class VectorKernels : public ::testing::TestWithParam<Isa> {
+ protected:
+  void SetUp() override {
+    if (!kernels::simd::supports(GetParam())) {
+      GTEST_SKIP() << "host lacks " << kernels::simd::isa_name(GetParam());
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(, VectorKernels,
+                         ::testing::ValuesIn(kernels::simd::kIsas),
+                         [](const ::testing::TestParamInfo<Isa>& info) {
+                           return std::string(kernels::simd::isa_name(info.param));
+                         });
+
+// simd::block_apply at `isa` vs ref::block_apply on a strided copy of c.
 template <typename T>
-void block_kernels_match_reference() {
+void expect_apply_matches_reference(Isa isa, ConstMatrixView<T> v,
+                                    const T* tau, idx nc, int seed, Input kind) {
+  const idx h = v.rows();
+  for (const bool transpose_q : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "nc=" << nc << " qt=" << transpose_q);
+    auto c = vector_test_input<T>(h, nc, seed, kind);
+    auto c_ref = Matrix<T>::from(c.view().as_const());
+    kernels::simd::block_apply(isa, v, tau, c.view().block(1, 0, h, nc),
+                               transpose_q);
+    kernels::ref::block_apply(v, tau, c_ref.view().block(1, 0, h, nc),
+                              transpose_q);
+    expect_same_bits<T>(c.view(), c_ref.view(), nullptr, nullptr, 0);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+template <typename T>
+void block_kernels_match_reference(Isa isa) {
   for (const idx w : {1, 4, 16, 17}) {
     for (const idx h : {idx{1}, idx{2}, w - 1, w, idx{128}, idx{257}}) {
       if (h < 1) continue;
@@ -537,36 +587,79 @@ void block_kernels_match_reference() {
         auto a_ref = Matrix<T>::from(a.view().as_const());
         std::vector<T> tau(static_cast<std::size_t>(w), T(-1));
         std::vector<T> tau_ref(tau);
-        block_geqr2(a.view().block(1, 0, h, w), tau.data());
+        kernels::simd::block_geqr2(isa, a.view().block(1, 0, h, w), tau.data());
         kernels::ref::block_geqr2(a_ref.view().block(1, 0, h, w), tau_ref.data());
         expect_same_bits<T>(a.view(), a_ref.view(), tau.data(), tau_ref.data(),
                             std::min(h, w));
         if (::testing::Test::HasFatalFailure()) return;
 
         const auto v = a_ref.view().as_const().block(1, 0, h, w);
-        for (const idx nc : {1, 4, 16, 20}) {
-          for (const bool transpose_q : {true, false}) {
-            SCOPED_TRACE(::testing::Message() << "nc=" << nc << " qt=" << transpose_q);
-            auto c = vector_test_input<T>(h, nc, 5, kind);
-            auto c_ref = Matrix<T>::from(c.view().as_const());
-            block_apply(v, tau_ref.data(), c.view().block(1, 0, h, nc), transpose_q);
-            kernels::ref::block_apply(v, tau_ref.data(),
-                                      c_ref.view().block(1, 0, h, nc), transpose_q);
-            expect_same_bits<T>(c.view(), c_ref.view(), nullptr, nullptr, 0);
-            if (::testing::Test::HasFatalFailure()) return;
-          }
+        for (const idx nc : kTileCols) {
+          expect_apply_matches_reference<T>(isa, v, tau_ref.data(), nc, 5, kind);
+          if (::testing::Test::HasFatalFailure()) return;
         }
       }
     }
   }
 }
 
-TEST(VectorKernels, BlockGeqr2AndApplyBitIdenticalToReferenceF32) {
-  block_kernels_match_reference<float>();
+TEST_P(VectorKernels, BlockGeqr2AndApplyBitIdenticalToReferenceF32) {
+  block_kernels_match_reference<float>(GetParam());
 }
 
-TEST(VectorKernels, BlockGeqr2AndApplyBitIdenticalToReferenceF64) {
-  block_kernels_match_reference<double>();
+TEST_P(VectorKernels, BlockGeqr2AndApplyBitIdenticalToReferenceF64) {
+  block_kernels_match_reference<double>(GetParam());
+}
+
+// The fused sweep of block_apply pairs each applied reflector with the next
+// one whose tau is nonzero. Zero taus at either end, alone and in runs in
+// the middle, in both directions; h <= w, where the last reflector has
+// length 1 (given a nonzero tau here, which the reference applies to the
+// pivot alone).
+template <typename T>
+void fused_sweep_matches_reference(Isa isa) {
+  for (const idx w : {3, 8, 16}) {
+    for (const idx h : {w - 2, w, w + 5, idx{130}}) {
+      auto a = vector_test_input<T>(h, w, 11, Input::Gaussian);
+      const auto v = a.view().block(1, 0, h, w);
+      std::vector<T> tau0(static_cast<std::size_t>(w));
+      kernels::ref::block_geqr2(v, tau0.data());
+      const idx kmax = std::min(h, w);
+      const idx mid = kmax / 2;
+      const std::function<bool(idx)> zero_patterns[] = {
+          [](idx) { return false; },
+          [](idx j) { return j == 0; },
+          [&](idx j) { return j == kmax - 1; },
+          [&](idx j) { return j == mid; },
+          [&](idx j) { return j == mid || j == mid + 1; },
+          [](idx j) { return j % 2 == 1; },
+          [&](idx j) { return j != mid; },
+          [](idx) { return true; },
+      };
+      for (std::size_t p = 0; p < std::size(zero_patterns); ++p) {
+        SCOPED_TRACE(::testing::Message() << "h=" << h << " w=" << w
+                                          << " zero pattern " << p);
+        std::vector<T> tau(tau0);
+        tau[static_cast<std::size_t>(kmax - 1)] = T(0.75);
+        for (idx j = 0; j < kmax; ++j) {
+          if (zero_patterns[p](j)) tau[static_cast<std::size_t>(j)] = T(0);
+        }
+        for (const idx nc : kTileCols) {
+          expect_apply_matches_reference<T>(isa, v.as_const(), tau.data(), nc,
+                                            13, Input::Gaussian);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(VectorKernels, FusedSweepZeroTausAndShortReflectorsF32) {
+  fused_sweep_matches_reference<float>(GetParam());
+}
+
+TEST_P(VectorKernels, FusedSweepZeroTausAndShortReflectorsF64) {
+  fused_sweep_matches_reference<double>(GetParam());
 }
 
 // k stacked w x w upper triangles, with the Input's scaling and zero tails.
@@ -586,7 +679,7 @@ Matrix<T> triangle_stack(idx w, idx k, int seed, Input kind) {
 }
 
 template <typename T>
-void stacked_kernels_match_reference() {
+void stacked_kernels_match_reference(Isa isa) {
   for (const idx w : {1, 4, 16, 17}) {
     for (const idx k : {2, 4, 8}) {
       for (const Input kind : kInputs) {
@@ -597,7 +690,8 @@ void stacked_kernels_match_reference() {
         std::vector<T> tau(static_cast<std::size_t>(w), T(-1));
         std::vector<T> tau_ref(tau);
         std::vector<T> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
-        stacked_geqr2(s.view(), w, k, tau.data(), scratch.data());
+        kernels::simd::stacked_geqr2(isa, s.view(), w, k, tau.data(),
+                                     scratch.data());
         kernels::ref::stacked_geqr2(s_ref.view(), w, k, tau_ref.data(),
                                     scratch.data());
         expect_same_bits<T>(s.view(), s_ref.view(), tau.data(), tau_ref.data(), w);
@@ -608,8 +702,10 @@ void stacked_kernels_match_reference() {
             SCOPED_TRACE(::testing::Message() << "nc=" << nc << " qt=" << transpose_q);
             auto c = vector_test_input<T>(k * w, nc, 9, kind);
             auto c_ref = Matrix<T>::from(c.view().as_const());
-            stacked_apply(s_ref.as_const(), w, k, tau_ref.data(),
-                          c.view().block(1, 0, k * w, nc), transpose_q);
+            kernels::simd::stacked_apply(isa, s_ref.as_const(), w, k,
+                                         tau_ref.data(),
+                                         c.view().block(1, 0, k * w, nc),
+                                         transpose_q);
             kernels::ref::stacked_apply(s_ref.as_const(), w, k, tau_ref.data(),
                                         c_ref.view().block(1, 0, k * w, nc),
                                         transpose_q);
@@ -622,25 +718,42 @@ void stacked_kernels_match_reference() {
   }
 }
 
-TEST(VectorKernels, StackedGeqr2AndApplyBitIdenticalToReferenceF32) {
-  stacked_kernels_match_reference<float>();
+TEST_P(VectorKernels, StackedGeqr2AndApplyBitIdenticalToReferenceF32) {
+  stacked_kernels_match_reference<float>(GetParam());
 }
 
-TEST(VectorKernels, StackedGeqr2AndApplyBitIdenticalToReferenceF64) {
-  stacked_kernels_match_reference<double>();
+TEST_P(VectorKernels, StackedGeqr2AndApplyBitIdenticalToReferenceF64) {
+  stacked_kernels_match_reference<double>(GetParam());
 }
 
 // The zero-tail inputs above must really produce identity reflectors.
-TEST(VectorKernels, ZeroTailInputsGiveZeroTau) {
+TEST_P(VectorKernels, ZeroTailInputsGiveZeroTau) {
   auto a = vector_test_input<double>(16, 4, 3, Input::ZeroTail);
   std::vector<double> tau(4);
-  block_geqr2(a.view().block(1, 0, 16, 4), tau.data());
+  kernels::simd::block_geqr2(GetParam(), a.view().block(1, 0, 16, 4),
+                             tau.data());
   EXPECT_EQ(tau[0], 0.0);
   EXPECT_EQ(tau[3], 0.0);
   auto s = triangle_stack<float>(4, 2, 7, Input::ZeroTail);
   std::vector<float> stau(4), scratch(5);
-  stacked_geqr2(s.view(), 4, 2, stau.data(), scratch.data());
+  kernels::simd::stacked_geqr2(GetParam(), s.view(), 4, 2, stau.data(),
+                               scratch.data());
   EXPECT_EQ(stau[0], 0.0f);
+}
+
+// The unqualified entry points run at the best level the CPU reports.
+TEST(VectorKernelDispatch, PicksTheBestLevelTheHostSupports) {
+  Isa best = Isa::Sse2;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) best = Isa::Avx2;
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq")) {
+    best = Isa::Avx512;
+  }
+#endif
+  EXPECT_EQ(kernels::simd::active_isa(), best)
+      << kernels::simd::isa_name(kernels::simd::active_isa());
 }
 
 }  // namespace
