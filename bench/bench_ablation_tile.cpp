@@ -34,11 +34,13 @@ double caqr_ms(idx m, idx n, idx tile) {
     const idx w = std::min<idx>(opt.panel_width, std::min(m, n) - c0);
     const idx len = m - c0;
     auto panel = Matrix<float>::shape_only(len, w);
-    auto f = tsqr::tsqr_factor(dev, panel.view(), topt);
+    auto f =
+        tsqr::tsqr_factor(dev, gpusim::kDefaultStream, panel.view(), topt);
     const idx trailing = n - c0 - w;
     if (trailing > 0) {
       auto t = Matrix<float>::shape_only(len, trailing);
-      tsqr::tsqr_apply_qt(dev, panel.view(), f, t.view(), topt);
+      tsqr::tsqr_apply(dev, gpusim::kDefaultStream, panel.view(), f, t.view(),
+                       topt, /*transpose_q=*/true);
     }
   }
   return dev.elapsed_seconds() * 1e3;

@@ -32,7 +32,7 @@ Run run_tsqr(idx m, idx w, idx arity) {
   tsqr::TsqrOptions opt;
   opt.block_rows = 64;
   opt.arity = arity;
-  auto f = tsqr::tsqr_factor(dev, panel.view(), opt);
+  auto f = tsqr::tsqr_factor(dev, gpusim::kDefaultStream, panel.view(), opt);
   return {dev.elapsed_seconds() * 1e3,
           static_cast<std::size_t>(f.num_levels())};
 }

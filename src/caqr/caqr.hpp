@@ -52,7 +52,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -221,9 +220,9 @@ class CaqrFactorization {
                                       topt, &sev, &f.status_.panel_retries));
       const idx trailing_cols = n - c0 - w;
       if (trailing_cols > 0) {
-        tsqr_apply_qt(dev, gpusim::kDefaultStream, panel.as_const(),
-                      f.panels_.back(),
-                      f.a_.block(c0, c0 + w, len, trailing_cols), topt, &sev);
+        tsqr_apply(dev, gpusim::kDefaultStream, panel.as_const(),
+                   f.panels_.back(), f.a_.block(c0, c0 + w, len, trailing_cols),
+                   topt, /*transpose_q=*/true, &sev);
       }
       ++done;
       f.after_panel(dev, done);
@@ -283,13 +282,14 @@ class CaqrFactorization {
         // Look-ahead: bring panel p+1's columns fully up to date on the
         // panel stream. They last received panel p-1's update on U.
         if (prev_rest >= 0) dev.wait_event(sp, prev_rest);
-        tsqr_apply_qt(dev, sp, panel, meta,
-                      f.a_.block(c0, c0 + w, len, next_w), topt, &sev);
+        tsqr_apply(dev, sp, panel, meta, f.a_.block(c0, c0 + w, len, next_w),
+                   topt, /*transpose_q=*/true, &sev);
       }
       if (rest > 0) {
         dev.wait_event(su, factored);
-        tsqr_apply_qt(dev, su, panel, meta,
-                      f.a_.block(c0, c0 + w + next_w, len, rest), topt, &sev);
+        tsqr_apply(dev, su, panel, meta,
+                   f.a_.block(c0, c0 + w + next_w, len, rest), topt,
+                   /*transpose_q=*/true, &sev);
         prev_rest = dev.record_event(su);
       }
       // Consistency point shared with the serial schedule: panels 0..p are
@@ -307,25 +307,14 @@ class CaqrFactorization {
     if (c.cols() == 0) return;
     const tsqr::TsqrOptions topt = opt_.panel_tsqr();
     const idx np = static_cast<idx>(panels_.size());
-    auto panel_view = [&](idx p, idx& c0) {
-      c0 = p * opt_.panel_width;
+    // Q^T = Q_{np-1}^T ... Q_0^T walks the panels forward, Q in reverse.
+    for (idx i = 0; i < np; ++i) {
+      const idx p = transpose_q ? i : np - 1 - i;
+      const idx c0 = p * opt_.panel_width;
       const auto& meta = panels_[static_cast<std::size_t>(p)];
-      return a_.view().block(c0, c0, meta.rows, meta.width);
-    };
-    if (transpose_q) {
-      for (idx p = 0; p < np; ++p) {
-        idx c0 = 0;
-        auto pv = panel_view(p, c0);
-        tsqr_apply_qt(dev, pv, panels_[static_cast<std::size_t>(p)],
-                      c.block(c0, 0, pv.rows(), c.cols()), topt);
-      }
-    } else {
-      for (idx p = np - 1; p >= 0; --p) {
-        idx c0 = 0;
-        auto pv = panel_view(p, c0);
-        tsqr_apply_q(dev, pv, panels_[static_cast<std::size_t>(p)],
-                     c.block(c0, 0, pv.rows(), c.cols()), topt);
-      }
+      tsqr_apply(dev, gpusim::kDefaultStream,
+                 a_.view().block(c0, c0, meta.rows, meta.width), meta,
+                 c.block(c0, 0, meta.rows, c.cols()), topt, transpose_q);
     }
   }
 
@@ -397,48 +386,55 @@ class CaqrFactorization {
       return 0;
     }
     Matrix<T> a;
-    if (!r->matrix("a", a)) return 0;
+    if (!r->matrix("a", a) || a.rows() != a_.rows() ||
+        a.cols() != a_.cols()) {
+      return 0;
+    }
+    // A valid checksum proves the file is intact, not that it was written
+    // for this run, and the kernels index storage by a panel's shape and
+    // replay structure unchecked. So every panel must be exactly what this
+    // run's panel loop and tsqr::replay_meta produce, with tau lengths to
+    // match; the shared meta is then reused, not rebuilt from the file.
+    const tsqr::TsqrOptions topt = opt_.panel_tsqr();
+    const idx kmax = std::min(a_.rows(), a_.cols());
     std::vector<tsqr::PanelFactor<T>> panels;
     for (std::int64_t p = 0; p < done; ++p) {
       tsqr::PanelFactor<T> pf;
+      const idx c0 = static_cast<idx>(p) * opt_.panel_width;
+      pf.rows = a_.rows() - c0;
+      pf.width = std::min(opt_.panel_width, kmax - c0);
+      pf.meta = tsqr::replay_meta(pf.rows, pf.width, topt);
       const std::string pre = "p" + std::to_string(p) + ".";
       std::int64_t prows = 0, pwidth = 0, nlev = 0;
-      // The replay structure is rebuilt as a fresh ReplayMeta owned by this
-      // resume (the checkpoint stores panel-row coordinates, the same
-      // representation ReplayMeta holds).
-      auto meta = std::make_shared<tsqr::ReplayMeta>();
-      if (!r->scalar(pre + "rows", prows) ||
-          !r->scalar(pre + "width", pwidth) ||
-          !r->scalar(pre + "nlevels", nlev) || nlev < 0 ||
-          !r->vec(pre + "offsets", meta->offsets) ||
-          !r->vec(pre + "taus0", pf.taus0)) {
+      std::vector<idx> offsets;
+      if (!r->scalar(pre + "rows", prows) || prows != pf.rows ||
+          !r->scalar(pre + "width", pwidth) || pwidth != pf.width ||
+          !r->scalar(pre + "nlevels", nlev) || nlev != pf.num_levels() ||
+          !r->vec(pre + "offsets", offsets) || offsets != pf.offsets() ||
+          !r->vec(pre + "taus0", pf.taus0) ||
+          pf.taus0.size() !=
+              static_cast<std::size_t>(pf.num_blocks() * pf.width)) {
         return 0;
       }
-      pf.rows = static_cast<idx>(prows);
-      pf.width = static_cast<idx>(pwidth);
-      for (std::int64_t l = 0; l < nlev; ++l) {
-        GroupList groups;
-        std::vector<T> taus;
+      for (idx l = 0; l < pf.num_levels(); ++l) {
+        const GroupList& groups = pf.level_groups(l);
         const std::string lpre = pre + "l" + std::to_string(l) + ".";
         std::vector<idx> gsizes, gdata;
+        std::vector<T> taus;
         if (!r->vec(lpre + "gsizes", gsizes) ||
-            !r->vec(lpre + "gdata", gdata) || !r->vec(lpre + "taus", taus)) {
+            !r->vec(lpre + "gdata", gdata) || !r->vec(lpre + "taus", taus) ||
+            gdata != groups.data ||
+            gsizes.size() != static_cast<std::size_t>(groups.size()) ||
+            taus.size() != static_cast<std::size_t>(groups.size() * pf.width)) {
           return 0;
         }
-        std::size_t pos = 0;
-        for (idx gs : gsizes) {
-          if (gs < 0 || pos + static_cast<std::size_t>(gs) > gdata.size()) {
+        for (idx g = 0; g < groups.size(); ++g) {
+          if (gsizes[static_cast<std::size_t>(g)] != groups.group_size(g)) {
             return 0;
           }
-          pos += static_cast<std::size_t>(gs);
-          groups.starts.push_back(static_cast<idx>(pos));
         }
-        if (pos != gdata.size()) return 0;
-        groups.data = std::move(gdata);
-        meta->levels.push_back(std::move(groups));
         pf.taus.push_back(std::move(taus));
       }
-      pf.meta = std::move(meta);
       panels.push_back(std::move(pf));
     }
     a_ = std::move(a);

@@ -20,13 +20,6 @@
 // (rows, min_rows, devices) triple, so serving and recovery layers can
 // refuse the shape instead of aborting the process.
 //
-// BlockCyclicMatrix is the second sharding: global (i, j) belongs to the
-// process grid cell ((i/br) mod pr, (j/bc) mod pc), each device owning a
-// compacted local matrix of its blocks in block order — the layout 2D/3D
-// QR panels and trailing updates address. It shares nothing with the
-// block-row invariants above (no per-shard height floor; R is not resident
-// in one shard) and is gathered/scattered whole for verification.
-//
 // ModelOnly grids get storage-free shards (Matrix::shape_only), mirroring
 // the single-device convention for paper-scale cost runs.
 
@@ -185,135 +178,6 @@ class DistMatrix {
   idx cols_ = 0;
   bool functional_ = true;
   std::vector<idx> offsets_;
-  std::vector<Matrix<T>> shards_;
-};
-
-// 2D block-cyclic layout over a pr x pc process grid with br x bc blocks:
-// the ScaLAPACK distribution. Device p = grid_row * pc + grid_col owns
-// every block (bi, bj) with bi mod pr == grid_row and bj mod pc == grid_col.
-struct BlockCyclicLayout {
-  int pr = 1;   // process-grid rows
-  int pc = 1;   // process-grid cols
-  idx br = 32;  // block rows
-  idx bc = 32;  // block cols
-
-  int devices() const { return pr * pc; }
-  int grid_row(int device) const { return device / pc; }
-  int grid_col(int device) const { return device % pc; }
-
-  // Owning device of global element (i, j).
-  int owner(idx i, idx j) const {
-    return static_cast<int>((i / br) % pr) * pc +
-           static_cast<int>((j / bc) % pc);
-  }
-
-  // Rows of the local shard on process-grid row `prow` (the ScaLAPACK
-  // numroc count: whole block cycles plus this row's share of the tail).
-  idx local_rows(idx rows, int prow) const {
-    return local_extent(rows, br, prow, pr);
-  }
-  idx local_cols(idx cols, int pcol) const {
-    return local_extent(cols, bc, pcol, pc);
-  }
-
-  // Local row index of global row i on its owning process-grid row: blocks
-  // are compacted in cycle order, so global block i/br is that owner's
-  // (i / (pr*br))-th local block.
-  idx local_row(idx i) const { return (i / (br * pr)) * br + i % br; }
-  idx local_col(idx j) const { return (j / (bc * pc)) * bc + j % bc; }
-
-  std::uint64_t fingerprint() const {
-    std::uint64_t h = ft::detail::kFnvOffset;
-    const std::int64_t v[4] = {pr, pc, br, bc};
-    h = ft::detail::fnv1a(v, sizeof(v), h);
-    return h;
-  }
-
- private:
-  static idx local_extent(idx n, idx blk, int p, int np) {
-    const idx full_cycles = n / (blk * np);
-    idx local = full_cycles * blk;
-    const idx rem = n - full_cycles * blk * np;  // rows past the last cycle
-    const idx my_start = static_cast<idx>(p) * blk;
-    if (rem > my_start) local += std::min(blk, rem - my_start);
-    return local;
-  }
-};
-
-// Block-cyclic sharded matrix: one compacted local Matrix per device (rows
-// = layout.local_rows, cols = layout.local_cols). Functional scatter/gather
-// move elements through the owner map; shape_only shards are storage-free
-// for ModelOnly cost runs, mirroring DistMatrix.
-template <typename T>
-class BlockCyclicMatrix {
- public:
-  BlockCyclicMatrix() = default;
-
-  static BlockCyclicMatrix scatter(ConstMatrixView<T> a,
-                                   const BlockCyclicLayout& layout) {
-    BlockCyclicMatrix m;
-    m.init(a.rows(), a.cols(), layout, /*functional=*/true);
-    for (idx i = 0; i < a.rows(); ++i) {
-      for (idx j = 0; j < a.cols(); ++j) {
-        m.shard(layout.owner(i, j))(layout.local_row(i), layout.local_col(j)) =
-            a(i, j);
-      }
-    }
-    return m;
-  }
-
-  static BlockCyclicMatrix shape_only(idx rows, idx cols,
-                                      const BlockCyclicLayout& layout) {
-    BlockCyclicMatrix m;
-    m.init(rows, cols, layout, /*functional=*/false);
-    return m;
-  }
-
-  idx rows() const { return rows_; }
-  idx cols() const { return cols_; }
-  bool functional() const { return functional_; }
-  const BlockCyclicLayout& layout() const { return layout_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  Matrix<T>& shard(int d) { return shards_[static_cast<std::size_t>(d)]; }
-  const Matrix<T>& shard(int d) const {
-    return shards_[static_cast<std::size_t>(d)];
-  }
-
-  Matrix<T> gather() const {
-    CAQR_CHECK_MSG(functional_, "cannot gather a shape-only BlockCyclicMatrix");
-    Matrix<T> out(rows_, cols_);
-    for (idx i = 0; i < rows_; ++i) {
-      for (idx j = 0; j < cols_; ++j) {
-        out(i, j) = shard(layout_.owner(i, j))(layout_.local_row(i),
-                                               layout_.local_col(j));
-      }
-    }
-    return out;
-  }
-
- private:
-  void init(idx rows, idx cols, const BlockCyclicLayout& layout,
-            bool functional) {
-    CAQR_CHECK(rows >= 0 && cols >= 0);
-    CAQR_CHECK(layout.pr >= 1 && layout.pc >= 1 && layout.br >= 1 &&
-               layout.bc >= 1);
-    rows_ = rows;
-    cols_ = cols;
-    layout_ = layout;
-    functional_ = functional;
-    shards_.reserve(static_cast<std::size_t>(layout.devices()));
-    for (int d = 0; d < layout.devices(); ++d) {
-      const idx lr = layout.local_rows(rows, layout.grid_row(d));
-      const idx lc = layout.local_cols(cols, layout.grid_col(d));
-      shards_.push_back(functional ? Matrix<T>(lr, lc)
-                                   : Matrix<T>::shape_only(lr, lc));
-    }
-  }
-
-  idx rows_ = 0;
-  idx cols_ = 0;
-  bool functional_ = true;
-  BlockCyclicLayout layout_;
   std::vector<Matrix<T>> shards_;
 };
 

@@ -111,13 +111,14 @@ BlockOrthoResult<T> block_orthogonalize(gpusim::Device& dev,
   }
 
   // Internal orthogonalization: one TSQR of the tall-skinny block.
-  auto f = tsqr::tsqr_factor(dev, block, opt);
+  auto f = tsqr::tsqr_factor(dev, gpusim::kDefaultStream, block, opt);
   // Extract R, then form the explicit Q in place of the block.
   for (idx j = 0; j < w; ++j) {
     for (idx i = 0; i <= j; ++i) out.r(i, j) = block(i, j);
   }
   Matrix<T> q = Matrix<T>::identity(m, w);
-  tsqr::tsqr_apply_q(dev, block.as_const(), f, q.view(), opt);
+  tsqr::tsqr_apply(dev, gpusim::kDefaultStream, block.as_const(), f, q.view(),
+                   opt, /*transpose_q=*/false);
   block.copy_from(q.view());
   return out;
 }

@@ -8,97 +8,36 @@
 // cost CAQR's reduction tree is designed to amortize — is paid once instead
 // of k times, and small grids that would strand SMs are stacked until every
 // SM is busy. factor_batch() reproduces that on the simulated device: it
-// walks ONE CAQR schedule whose every launch is a FusedKernel spanning the
-// k problems' blocks, i.e. one `factor` + tree sweep over k*blocks instead
-// of k separate schedules.
+// walks ONE serial CAQR panel loop over the k problems, and every launch of
+// it is the tsqr/ span sequence (tsqr_factor_span, tsqr_apply_span) over
+// the k problems' panels, i.e. one `factor` + tree sweep over k*blocks
+// instead of k separate schedules. The launch order and the choice of each
+// panel's decomposition (tsqr::replay_meta, honouring a custom tree_spec)
+// are the solo path's own, so the batch cannot drift from it.
 //
-// Determinism / bit-identity. A FusedKernel dispatches fused block b to
-// sub-problem b / blocks_per_problem, which runs the UNCHANGED run_block
-// body of the solo kernel on that problem's own storage. Blocks write
-// disjoint outputs (per kernel contract), so the fused launch computes
+// Determinism / bit-identity. A fused launch (tsqr::FusedKernel) runs the
+// UNCHANGED run_block body of the solo kernel on each problem's own
+// storage, and blocks write disjoint outputs, so the batch computes
 // bit-identical R, reflectors and Q for every problem to a solo
 // `adaptive_qr` run with the same options — verified by tests/test_serve.
-// The fused launches appear in profiles()/trace() under their own names
+// Fused launches appear in profiles()/trace() under their own names
 // ("factor_batch", "apply_qt_h_batch", ...) so ModelOnly timelines show
-// exactly where fusion changed the schedule.
-//
-// Cost semantics: Device::launch aggregates per-block stats across the
-// whole fused grid, so the roofline term sums all k problems' work over the
-// SM pool while the latency floor is the max over ALL fused blocks — the
-// same floor as any single problem, not k of them. Launch overhead is paid
-// once per fused launch. Both effects are the simulated-GPU analogue of the
-// real batched-kernel win.
+// exactly where fusion changed the schedule; a one-problem batch launches
+// the solo kernels under their solo names.
 //
 // Thread safety: factor_batch is a plain function of (device, inputs); it
 // owns no shared state. Concurrent calls must target distinct devices, the
 // same rule as every other launch path in the repo.
 
 #include <algorithm>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "caqr/solver.hpp"
-#include "common/group_list.hpp"
-#include "common/profile.hpp"
 #include "gpusim/device.hpp"
-#include "kernels/kernels.hpp"
 #include "tsqr/tsqr.hpp"
 
 namespace caqr::serve {
-
-// One launchable kernel spanning the same-shape launches of k sub-problems.
-// Satisfies the Device::launch kernel contract; forwards stats_summary when
-// the inner kernel type has one (paper-scale ModelOnly stays O(classes)).
-template <typename K>
-struct FusedKernel {
-  std::vector<K> parts;
-  std::vector<idx> prefix{0};  // prefix[i] = first fused block of part i
-  std::string label;
-
-  void add(K part) {
-    const idx blocks = part.num_blocks();
-    if (label.empty()) {
-      label = std::string(part.name()) + "_batch";
-    }
-    prefix.push_back(prefix.back() + blocks);
-    parts.push_back(std::move(part));
-  }
-
-  const char* name() const { return label.c_str(); }
-  idx num_blocks() const { return prefix.back(); }
-
-  void run_block(idx b) const {
-    const std::size_t p = part_of(b);
-    parts[p].run_block(b - prefix[p]);
-  }
-
-  gpusim::BlockStats block_stats(idx b) const {
-    const std::size_t p = part_of(b);
-    return parts[p].block_stats(b - prefix[p]);
-  }
-
-  auto stats_summary() const
-    requires gpusim::HasStatsSummary<K>
-  {
-    // Same-shape parts have identical summaries (block stats depend on
-    // shapes and cost parameters, never on data): summarize part 0 once and
-    // scale the class counts by the part count instead of concatenating k
-    // identical copies.
-    auto out = parts.front().stats_summary();
-    const idx k = static_cast<idx>(parts.size());
-    for (auto& c : out) c.count *= k;
-    return out;
-  }
-
- private:
-  std::size_t part_of(idx b) const {
-    // parts are same-shape, hence same block count: direct division.
-    const idx per = prefix[1];
-    return static_cast<std::size_t>(b / per);
-  }
-};
 
 // Result of one fused batch: per-problem (Q, R) plus the batch timings.
 template <typename T>
@@ -108,147 +47,6 @@ struct BatchQrResult {
   double simulated_seconds = 0;  // whole fused batch, all k problems
   idx fused_launches = 0;        // launches issued (vs k x this, unfused)
 };
-
-namespace detail {
-
-// Per-problem factorization state threaded through the fused schedule.
-template <typename T>
-struct BatchProblem {
-  Matrix<T> a;  // packed storage: R upper triangle + reflectors
-  std::vector<tsqr::PanelFactor<T>> panels;
-};
-
-// Fused TSQR factorization of panel `p_index` (columns c0..c0+w) of every
-// problem: one transpose launch, one factor launch, one launch per tree
-// level — each spanning all k problems.
-template <typename T>
-void fused_tsqr_factor(gpusim::Device& dev,
-                       std::vector<BatchProblem<T>>& probs, idx c0, idx len,
-                       idx w, const tsqr::TsqrOptions& topt,
-                       idx& fused_launches) {
-  const auto cost = kernels::cost_params(topt.variant);
-  const double pen = dev.model().uncoalesced_penalty;
-  const double tile_pen = dev.model().tile_locality_penalty;
-
-  const bool charge_transpose =
-      topt.transposed_panels &&
-      topt.variant == kernels::ReductionVariant::RegisterSerialTransposed;
-  if (charge_transpose) {
-    FusedKernel<kernels::TransposeKernel<T>> tk;
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      tk.add(kernels::TransposeKernel<T>{len, w, topt.block_rows});
-    }
-    dev.launch(tk, tk.num_blocks());
-    ++fused_launches;
-  }
-
-  // Same shape => same decomposition for every problem: all k PanelFactors
-  // share ONE memoized ReplayMeta (a shared_ptr copy each) instead of
-  // per-problem offsets + per-level GroupList copies.
-  const std::shared_ptr<const tsqr::ReplayMeta> meta =
-      tsqr::detail::cached_replay_meta(len, w, topt);
-  const idx nblocks = meta->num_blocks();
-  // taus are only read by functional run_block/apply; ModelOnly skips them.
-  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
-
-  FusedKernel<kernels::FactorKernel<T>> fk;
-  {
-    CAQR_PROF_SCOPE("serve.batch_stage_ns");
-    for (auto& pr : probs) {
-      pr.panels.emplace_back();
-      auto& pf = pr.panels.back();
-      pf.rows = len;
-      pf.width = w;
-      pf.meta = meta;
-      if (functional) {
-        pf.taus0.assign(static_cast<std::size_t>(nblocks * w), T(0));
-        pf.taus.reserve(meta->levels.size());
-      }
-      fk.add(kernels::FactorKernel<T>{pr.a.block(c0, c0, len, w),
-                                      &meta->offsets, pf.taus0.data(), cost,
-                                      pen, tile_pen});
-    }
-  }
-  dev.launch(fk, fk.num_blocks());
-  ++fused_launches;
-
-  // Reduction tree: identical group structure across problems, fused per
-  // level; the groups live in the shared ReplayMeta, only each problem's
-  // taus are allocated here.
-  for (const auto& groups : meta->levels) {
-    FusedKernel<kernels::FactorTreeKernel<T>> tk;
-    {
-      CAQR_PROF_SCOPE("serve.batch_stage_ns");
-      for (auto& pr : probs) {
-        auto& pf = pr.panels.back();
-        T* tau_ptr = nullptr;
-        if (functional) {
-          pf.taus.emplace_back(static_cast<std::size_t>(groups.size()) *
-                                   static_cast<std::size_t>(w),
-                               T(0));
-          tau_ptr = pf.taus.back().data();
-        }
-        tk.add(kernels::FactorTreeKernel<T>{pr.a.block(c0, c0, len, w),
-                                            &groups, tau_ptr, cost, pen,
-                                            tile_pen});
-      }
-    }
-    dev.launch(tk, tk.num_blocks());
-    ++fused_launches;
-  }
-}
-
-// Fused Q^T / Q application of panel `p` of every problem to per-problem
-// targets `c_of(i)`: the solo tsqr_apply launch sequence with every launch
-// spanning all k problems.
-template <typename T, typename COf>
-void fused_apply(gpusim::Device& dev, std::vector<BatchProblem<T>>& probs,
-                 idx p, idx c0, const tsqr::TsqrOptions& topt,
-                 bool transpose_q, COf&& c_of, idx& fused_launches) {
-  const auto cost = kernels::cost_params(topt.variant);
-  const double pen = dev.model().uncoalesced_penalty;
-  const double tile_pen = dev.model().tile_locality_penalty;
-  const auto& pf0 = probs.front().panels[static_cast<std::size_t>(p)];
-
-  auto launch_h = [&] {
-    FusedKernel<kernels::ApplyQtHKernel<T>> k;
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      auto& pf = probs[i].panels[static_cast<std::size_t>(p)];
-      k.add(kernels::ApplyQtHKernel<T>{
-          probs[i].a.block(c0, c0, pf.rows, pf.width).as_const(),
-          &pf.offsets(), pf.taus0.data(), c_of(i), topt.tile_cols, cost, pen,
-          tile_pen, false, transpose_q});
-    }
-    dev.launch(k, k.num_blocks());
-    ++fused_launches;
-  };
-  auto launch_tree = [&](std::size_t level) {
-    FusedKernel<kernels::ApplyQtTreeKernel<T>> k;
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      auto& pf = probs[i].panels[static_cast<std::size_t>(p)];
-      k.add(kernels::ApplyQtTreeKernel<T>{
-          probs[i].a.block(c0, c0, pf.rows, pf.width).as_const(),
-          &pf.level_groups(static_cast<idx>(level)),
-          pf.level_taus(static_cast<idx>(level)), c_of(i), topt.tile_cols,
-          cost, pen, tile_pen, false, transpose_q});
-    }
-    dev.launch(k, k.num_blocks());
-    ++fused_launches;
-  };
-
-  if (transpose_q) {
-    launch_h();
-    const std::size_t nlev = static_cast<std::size_t>(pf0.num_levels());
-    for (std::size_t l = 0; l < nlev; ++l) launch_tree(l);
-  } else {
-    for (std::size_t l = static_cast<std::size_t>(pf0.num_levels()); l-- > 0;) {
-      launch_tree(l);
-    }
-    launch_h();
-  }
-}
-
-}  // namespace detail
 
 // Factors k same-shape problems with one fused CAQR schedule and returns
 // per-problem explicit (Q, R), exactly what adaptive_qr returns for each
@@ -298,56 +96,59 @@ BatchQrResult<T> factor_batch(gpusim::Device& dev,
     return out;
   }
 
-  std::vector<detail::BatchProblem<T>> probs;
-  probs.reserve(problems.size());
-  for (auto& a : problems) probs.push_back({std::move(a), {}});
-
-  // Fused serial CAQR panel loop (caqr.hpp Figure 4 structure; Serial and
-  // LookAhead are bit-identical, so fusing the serial schedule preserves
-  // the solo results of either).
+  // Serial CAQR panel loop (caqr.hpp Figure 4 structure; Serial and
+  // LookAhead are bit-identical, so the serial schedule reproduces the solo
+  // results of either), each step one span sequence over all problems.
+  // fs[p][i] is problem i's factor of panel p; the problems' own storage
+  // becomes their packed factorizations.
   const tsqr::TsqrOptions topt = opt.panel_tsqr();
+  const std::size_t np = problems.size();
+  std::vector<std::vector<tsqr::PanelFactor<T>>> fs;
+  std::vector<MatrixView<T>> panels(np), targets(np);
+  std::vector<ConstMatrixView<T>> factored(np);
   for (idx c0 = 0; c0 < k; c0 += opt.panel_width) {
     const idx w = std::min(opt.panel_width, k - c0);
     const idx len = m - c0;
-    detail::fused_tsqr_factor(dev, probs, c0, len, w, topt,
-                              out.fused_launches);
     const idx trailing = n - c0 - w;
+    for (std::size_t i = 0; i < np; ++i) {
+      panels[i] = problems[i].block(c0, c0, len, w);
+      factored[i] = panels[i];
+      if (trailing > 0) {
+        targets[i] = problems[i].block(c0, c0 + w, len, trailing);
+      }
+    }
+    auto& f = fs.emplace_back(np);
+    out.fused_launches += tsqr::tsqr_factor_span<T>(
+        dev, gpusim::kDefaultStream, panels, topt, f);
     if (trailing > 0) {
-      const idx p = static_cast<idx>(probs.front().panels.size()) - 1;
-      detail::fused_apply(
-          dev, probs, p, c0, topt, /*transpose_q=*/true,
-          [&](std::size_t i) {
-            return probs[i].a.block(c0, c0 + w, len, trailing);
-          },
-          out.fused_launches);
+      out.fused_launches += tsqr::tsqr_apply_span<T>(
+          dev, gpusim::kDefaultStream, factored, f, targets, topt,
+          /*transpose_q=*/true);
     }
   }
 
-  // Per-problem R; fused explicit Q (the SORGQR walk, panels in reverse).
-  out.problems.resize(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
+  // Per-problem R; explicit Q by the SORGQR walk, panels in reverse.
+  out.problems.resize(np);
+  for (std::size_t i = 0; i < np; ++i) {
     out.problems[i].used = QrAlgorithm::Caqr;
-    out.problems[i].r = functional ? extract_r(probs[i].a.view())
+    out.problems[i].r = functional ? extract_r(problems[i].view())
                                    : Matrix<T>::shape_only(k, n);
   }
   if (want_q) {
-    std::vector<Matrix<T>> qs;
-    qs.reserve(probs.size());
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      qs.push_back(functional ? Matrix<T>::identity(m, k)
-                              : Matrix<T>::shape_only(m, k));
+    for (std::size_t i = 0; i < np; ++i) {
+      out.problems[i].q = functional ? Matrix<T>::identity(m, k)
+                                     : Matrix<T>::shape_only(m, k);
     }
-    const idx np = static_cast<idx>(probs.front().panels.size());
-    for (idx p = np - 1; p >= 0; --p) {
-      const idx c0 = p * opt.panel_width;
-      const idx len = probs.front().panels[static_cast<std::size_t>(p)].rows;
-      detail::fused_apply(
-          dev, probs, p, c0, topt, /*transpose_q=*/false,
-          [&](std::size_t i) { return qs[i].block(c0, 0, len, k); },
-          out.fused_launches);
-    }
-    for (std::size_t i = 0; i < probs.size(); ++i) {
-      out.problems[i].q = std::move(qs[i]);
+    for (std::size_t p = fs.size(); p-- > 0;) {
+      const idx c0 = static_cast<idx>(p) * opt.panel_width;
+      const idx len = fs[p].front().rows;
+      for (std::size_t i = 0; i < np; ++i) {
+        factored[i] = problems[i].block(c0, c0, len, fs[p].front().width);
+        targets[i] = out.problems[i].q.block(c0, 0, len, k);
+      }
+      out.fused_launches += tsqr::tsqr_apply_span<T>(
+          dev, gpusim::kDefaultStream, factored, fs[p], targets, topt,
+          /*transpose_q=*/false);
     }
   }
 

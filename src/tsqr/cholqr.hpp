@@ -326,7 +326,8 @@ CholQrResult<T> cholqr(gpusim::Device& dev, Matrix<T> a,
       for (idx i = 0; i <= j; ++i) res.r(i, j) = saved(i, j);
     }
     Matrix<T> qe = Matrix<T>::identity(m, n);
-    tsqr_apply_q(dev, saved.view().as_const(), pf, qe.view(), topt);
+    tsqr_apply(dev, gpusim::kDefaultStream, saved.view().as_const(), pf,
+               qe.view(), topt, /*transpose_q=*/false);
     res.q = std::move(qe);
     res.fell_back = true;
     res.severity = ft::worse(ft::Severity::Corrected, tsev);

@@ -13,6 +13,11 @@
 // PanelFactor is the replay script: CAQR's trailing-matrix update and the
 // later apply-Q/form-Q entry points re-walk the same offsets/groups.
 //
+// The factor and apply launch sequences are written once, over a span of
+// k >= 1 same-shape panels (tsqr_factor_span, tsqr_apply_span): k == 1 is
+// the solo path, and k > 1 runs each launch as one FusedKernel across the k
+// panels, which is how serve/batch.hpp fuses a same-shape batch.
+//
 // Fault tolerance: every launch's ft::Severity folds into the optional
 // `severity_out` argument, and when the device's policy enables recovery, an
 // Unrecovered factorization (a launch whose corruption survived the ABFT
@@ -25,6 +30,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/group_list.hpp"
@@ -278,88 +285,6 @@ inline void check_tree_spec(const TreeSpec& spec, idx rows, idx width) {
   CAQR_CHECK_MSG(remaining == 1, "tree spec must reduce to a single survivor");
 }
 
-// One factorization attempt; folds every launch's severity into `sev`.
-template <typename T>
-PanelFactor<T> tsqr_factor_attempt(gpusim::Device& dev, gpusim::StreamId stream,
-                                   MatrixView<T> panel, const TsqrOptions& opt,
-                                   ft::Severity& sev) {
-  const idx rows = panel.rows();
-  const idx width = panel.cols();
-  CAQR_CHECK(rows >= width && width >= 0);
-
-  PanelFactor<T> f;
-  f.rows = rows;
-  f.width = width;
-  if (width == 0) {
-    auto meta = std::make_shared<ReplayMeta>();
-    meta->offsets = {0, rows};
-    f.meta = std::move(meta);
-    return f;
-  }
-  // Custom providers are built, validated, and translated per call; the
-  // uniform default comes from the per-thread memo and a warm hit is one
-  // shared_ptr copy.
-  {
-    CAQR_PROF_SCOPE("tsqr.meta_build_ns");
-    if (opt.tree_spec) {
-      TreeSpec custom = opt.tree_spec(rows, width);
-      check_tree_spec(custom, rows, width);
-      f.meta = make_replay_meta(custom);
-    } else {
-      f.meta = cached_replay_meta(rows, width, opt);
-    }
-  }
-  const ReplayMeta& meta = *f.meta;
-  const idx nblocks = f.num_blocks();
-
-  // Boundary guards only see data in Functional mode: ModelOnly panels are
-  // storage-free placeholders.
-  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
-  if (functional) CAQR_GUARD_FINITE(panel, "tsqr_factor:input");
-
-  // Taus are written by run_block and read by apply — both functional-only.
-  // ModelOnly requests skip the allocation (and its zero-fill): ~100 KB per
-  // paper-scale panel that would never be touched. The kernels receive
-  // data() == nullptr, which no ModelOnly path dereferences.
-  if (functional) {
-    f.taus0.assign(static_cast<std::size_t>(nblocks * width), T(0));
-  }
-
-  const auto cost = kernels::cost_params(opt.variant);
-  const bool charge_transpose =
-      opt.transposed_panels &&
-      opt.variant == kernels::ReductionVariant::RegisterSerialTransposed;
-  if (charge_transpose) {
-    kernels::TransposeKernel<T> tk{rows, width, opt.block_rows};
-    dev.launch(stream, tk, tk.num_blocks());
-  }
-
-  kernels::FactorKernel<T> fk{panel, &meta.offsets, f.taus0.data(), cost,
-                              dev.model().uncoalesced_penalty,
-                              dev.model().tile_locality_penalty};
-  sev = ft::worse(sev, dev.launch(stream, fk, fk.num_blocks()));
-
-  // Reduction tree over the surviving R triangles, one launch per level.
-  // The groups are already in panel-row coordinates inside the shared
-  // ReplayMeta; only this factorization's taus are allocated here.
-  if (functional) f.taus.reserve(meta.levels.size());
-  for (const auto& groups : meta.levels) {
-    T* tau_ptr = nullptr;
-    if (functional) {
-      f.taus.emplace_back(static_cast<std::size_t>(groups.size()) *
-                              static_cast<std::size_t>(width),
-                          T(0));
-      tau_ptr = f.taus.back().data();
-    }
-    kernels::FactorTreeKernel<T> tk{panel, &groups, tau_ptr, cost,
-                                    dev.model().uncoalesced_penalty,
-                                    dev.model().tile_locality_penalty};
-    sev = ft::worse(sev, dev.launch(stream, tk, tk.num_blocks()));
-  }
-  if (functional) CAQR_GUARD_FINITE(panel, "tsqr_factor:output");
-  return f;
-}
-
 }  // namespace detail
 
 // Public seam of the structural spec validation (detail::check_tree_spec):
@@ -372,7 +297,262 @@ inline void validate_tree_spec(const TreeSpec& spec, idx rows, idx width) {
   detail::check_tree_spec(spec, rows, width);
 }
 
-// In-place TSQR factorization of `panel` on `dev`, with every kernel
+// The decomposition of a (rows, width) panel under `opt`: the custom
+// tree_spec when one is set (built, validated and translated per call),
+// otherwise the per-thread memo of the uniform split, where a warm hit is
+// one shared_ptr copy. This is the only place a panel's decomposition is
+// chosen: solo, batched and checkpoint-resumed factorizations all replay
+// what it returns. A zero-width panel is one block with no tree.
+inline std::shared_ptr<const ReplayMeta> replay_meta(idx rows, idx width,
+                                                     const TsqrOptions& opt) {
+  if (width == 0) {
+    auto meta = std::make_shared<ReplayMeta>();
+    meta->offsets = {0, rows};
+    return meta;
+  }
+  CAQR_PROF_SCOPE("tsqr.meta_build_ns");
+  if (opt.tree_spec) {
+    const TreeSpec custom = opt.tree_spec(rows, width);
+    detail::check_tree_spec(custom, rows, width);
+    return make_replay_meta(custom);
+  }
+  return detail::cached_replay_meta(rows, width, opt);
+}
+
+// One launchable kernel spanning the same-shape launches of k panels, the
+// simulated analogue of a batched GPU kernel (cuBLAS geqrfBatched, MAGMA
+// batched QR): fused block b runs the unchanged run_block of part
+// b / blocks_per_part on that part's own storage. Blocks write disjoint
+// outputs, so every part's results are bit-identical to its solo launch;
+// Device::launch sums the parts' work over the SM pool, pays the launch
+// overhead once, and floors the time at the slowest block of any part.
+// Named "<kernel>_batch" so timelines show where fusion changed the
+// schedule. Forwards stats_summary when the part type has one (paper-scale
+// ModelOnly stays O(classes)). Carries no ABFT hooks, so fused launches are
+// unguarded.
+template <typename K>
+struct FusedKernel {
+  std::vector<K> parts;
+  std::vector<idx> prefix{0};  // prefix[i] = first fused block of part i
+  std::string label;
+
+  void add(K part) {
+    const idx blocks = part.num_blocks();
+    if (label.empty()) {
+      label = std::string(part.name()) + "_batch";
+    }
+    prefix.push_back(prefix.back() + blocks);
+    parts.push_back(std::move(part));
+  }
+
+  const char* name() const { return label.c_str(); }
+  idx num_blocks() const { return prefix.back(); }
+
+  void run_block(idx b) const {
+    const std::size_t p = part_of(b);
+    parts[p].run_block(b - prefix[p]);
+  }
+
+  gpusim::BlockStats block_stats(idx b) const {
+    const std::size_t p = part_of(b);
+    return parts[p].block_stats(b - prefix[p]);
+  }
+
+  auto stats_summary() const
+    requires gpusim::HasStatsSummary<K>
+  {
+    // Same-shape parts have identical summaries (block stats depend on
+    // shapes and cost parameters, never on data): summarize part 0 once and
+    // scale the class counts by the part count instead of concatenating k
+    // identical copies.
+    auto out = parts.front().stats_summary();
+    const idx k = static_cast<idx>(parts.size());
+    for (auto& c : out) c.count *= k;
+    return out;
+  }
+
+ private:
+  std::size_t part_of(idx b) const {
+    // parts are same-shape, hence same block count: direct division.
+    const idx per = prefix[1];
+    return static_cast<std::size_t>(b / per);
+  }
+};
+
+namespace detail {
+
+// Launches kernel `make(i)` of each of k same-shape panels: the solo kernel
+// itself when k == 1 (its own name and ABFT guard, nothing allocated), one
+// FusedKernel spanning all k otherwise.
+template <typename Make>
+ft::Severity launch_span(gpusim::Device& dev, gpusim::StreamId stream,
+                         std::size_t k, const Make& make) {
+  if (k == 1) {
+    const auto kernel = make(std::size_t{0});
+    return dev.launch(stream, kernel, kernel.num_blocks());
+  }
+  FusedKernel<decltype(make(std::size_t{0}))> fused;
+  {
+    CAQR_PROF_SCOPE("serve.batch_stage_ns");
+    fused.parts.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) fused.add(make(i));
+  }
+  return dev.launch(stream, fused, fused.num_blocks());
+}
+
+}  // namespace detail
+
+// In-place TSQR factorization of k >= 1 same-shape panels with ONE launch
+// sequence — transpose (when charged), factor, then factor_tree per level —
+// every launch spanning all k panels (detail::launch_span; k == 1 is the
+// solo factorization). `fs` holds k default-constructed PanelFactors on
+// entry and the k factors, sharing one replay_meta(), on return. Every
+// launch's severity folds into `severity_out`; there is no panel-level redo
+// here (that is tsqr_factor's). Returns the number of launches issued.
+template <typename T>
+idx tsqr_factor_span(gpusim::Device& dev, gpusim::StreamId stream,
+                     std::span<const MatrixView<T>> panels,
+                     const TsqrOptions& opt, std::span<PanelFactor<T>> fs,
+                     ft::Severity* severity_out = nullptr) {
+  const std::size_t k = panels.size();
+  CAQR_CHECK(k >= 1 && fs.size() == k);
+  const idx rows = panels[0].rows();
+  const idx width = panels[0].cols();
+  CAQR_CHECK(rows >= width && width >= 0);
+  for (const auto& p : panels) {
+    CAQR_CHECK_MSG(p.rows() == rows && p.cols() == width,
+                   "span panels must share one shape");
+  }
+  const std::shared_ptr<const ReplayMeta> shared =
+      replay_meta(rows, width, opt);
+  for (auto& f : fs) {
+    f.rows = rows;
+    f.width = width;
+    f.meta = shared;
+  }
+  if (width == 0) return 0;
+  const ReplayMeta& meta = *shared;
+  const idx nblocks = meta.num_blocks();
+
+  // Boundary guards only see data in Functional mode: ModelOnly panels are
+  // storage-free placeholders. Taus are written by run_block and read by
+  // apply — both functional-only. ModelOnly requests skip the allocation
+  // (and its zero-fill): ~100 KB per paper-scale panel that would never be
+  // touched. The kernels receive data() == nullptr, which no ModelOnly path
+  // dereferences.
+  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
+  if (functional) {
+    for (std::size_t i = 0; i < k; ++i) {
+      CAQR_GUARD_FINITE(panels[i], "tsqr_factor:input");
+      fs[i].taus0.assign(static_cast<std::size_t>(nblocks * width), T(0));
+      fs[i].taus.reserve(meta.levels.size());
+    }
+  }
+
+  const auto cost = kernels::cost_params(opt.variant);
+  const double pen = dev.model().uncoalesced_penalty;
+  const double tile_pen = dev.model().tile_locality_penalty;
+  ft::Severity sev = ft::Severity::Ok;
+  idx launches = 0;
+  auto launch = [&](const auto& make) {
+    sev = ft::worse(sev, detail::launch_span(dev, stream, k, make));
+    ++launches;
+  };
+
+  if (opt.transposed_panels &&
+      opt.variant == kernels::ReductionVariant::RegisterSerialTransposed) {
+    launch([&](std::size_t) {
+      return kernels::TransposeKernel<T>{rows, width, opt.block_rows};
+    });
+  }
+  launch([&](std::size_t i) {
+    return kernels::FactorKernel<T>{panels[i], &meta.offsets,
+                                    fs[i].taus0.data(), cost, pen, tile_pen};
+  });
+  // Reduction tree over the surviving R triangles, one launch per level.
+  // The groups are already in panel-row coordinates inside the shared
+  // ReplayMeta; only each factorization's taus are allocated here.
+  for (const auto& groups : meta.levels) {
+    if (functional) {
+      for (auto& f : fs) {
+        f.taus.emplace_back(static_cast<std::size_t>(groups.size()) *
+                                static_cast<std::size_t>(width),
+                            T(0));
+      }
+    }
+    launch([&](std::size_t i) {
+      T* tau_ptr = functional ? fs[i].taus.back().data() : nullptr;
+      return kernels::FactorTreeKernel<T>{panels[i], &groups, tau_ptr,
+                                          cost,      pen,     tile_pen};
+    });
+  }
+  if (functional) {
+    for (std::size_t i = 0; i < k; ++i) {
+      CAQR_GUARD_FINITE(panels[i], "tsqr_factor:output");
+    }
+  }
+  if (severity_out != nullptr) *severity_out = ft::worse(*severity_out, sev);
+  return launches;
+}
+
+// Applies Q^T (transpose_q) or Q of k >= 1 same-shape factored panels, all
+// from one tsqr_factor_span call (they share one ReplayMeta), to same-shape
+// targets cs[i] in the panels' row space, with ONE launch sequence spanning
+// all k: for Q^T = Q_L^T ... Q_1^T Q_0^T, apply_qt_h then apply_qt_tree up
+// the levels; for Q = Q_0 Q_1 ... Q_L, down the tree, level 0 last.
+// Zero-width panels and zero-column targets are no-ops. Every launch's
+// severity folds into `severity_out`. Returns the number of launches issued.
+template <typename T>
+idx tsqr_apply_span(gpusim::Device& dev, gpusim::StreamId stream,
+                    std::span<const ConstMatrixView<T>> panels,
+                    std::span<const PanelFactor<T>> fs,
+                    std::span<const MatrixView<T>> cs, const TsqrOptions& opt,
+                    bool transpose_q, ft::Severity* severity_out = nullptr) {
+  const std::size_t k = panels.size();
+  CAQR_CHECK(k >= 1 && fs.size() == k && cs.size() == k);
+  const PanelFactor<T>& f0 = fs[0];
+  for (std::size_t i = 0; i < k; ++i) {
+    CAQR_CHECK(fs[i].meta == f0.meta && fs[i].width == f0.width);
+    CAQR_CHECK(panels[i].rows() == f0.rows && panels[i].cols() == f0.width);
+    CAQR_CHECK(cs[i].rows() == f0.rows && cs[i].cols() == cs[0].cols());
+  }
+  if (cs[0].cols() == 0 || f0.width == 0) return 0;
+  const auto cost = kernels::cost_params(opt.variant);
+  const double pen = dev.model().uncoalesced_penalty;
+  const double tile_pen = dev.model().tile_locality_penalty;
+
+  ft::Severity sev = ft::Severity::Ok;
+  auto launch = [&](const auto& make) {
+    sev = ft::worse(sev, detail::launch_span(dev, stream, k, make));
+  };
+  auto launch_h = [&] {
+    launch([&](std::size_t i) {
+      return kernels::ApplyQtHKernel<T>{
+          panels[i], &fs[i].offsets(), fs[i].taus0.data(), cs[i], opt.tile_cols,
+          cost,      pen,              tile_pen,           false, transpose_q};
+    });
+  };
+  auto launch_tree = [&](idx l) {
+    launch([&](std::size_t i) {
+      return kernels::ApplyQtTreeKernel<T>{
+          panels[i], &fs[i].level_groups(l), fs[i].level_taus(l), cs[i],
+          opt.tile_cols, cost, pen, tile_pen, false, transpose_q};
+    });
+  };
+
+  const idx levels = f0.num_levels();
+  if (transpose_q) {
+    launch_h();
+    for (idx l = 0; l < levels; ++l) launch_tree(l);
+  } else {
+    for (idx l = levels - 1; l >= 0; --l) launch_tree(l);
+    launch_h();
+  }
+  if (severity_out != nullptr) *severity_out = ft::worse(*severity_out, sev);
+  return levels + 1;
+}
+
+// In-place TSQR factorization of one `panel` on `dev`, with every kernel
 // launched on `stream`. On return the panel holds R (top width x width,
 // from the tree root at row offset 0) and the distributed reflectors of
 // every stage. A zero-width panel is a well-defined no-op (LAPACK xGEQRF
@@ -393,14 +573,19 @@ PanelFactor<T> tsqr_factor(gpusim::Device& dev, gpusim::StreamId stream,
                           ftopt.max_panel_retries > 0 && panel.cols() > 0;
   Matrix<T> saved;
   if (panel_redo) saved = Matrix<T>::from(panel.as_const());
-  PanelFactor<T> f = detail::tsqr_factor_attempt(dev, stream, panel, opt, sev);
+  auto attempt = [&] {
+    PanelFactor<T> f;
+    tsqr_factor_span<T>(dev, stream, {&panel, 1}, opt, {&f, 1}, &sev);
+    return f;
+  };
+  PanelFactor<T> f = attempt();
   if (panel_redo) {
     int redo = 0;
     while (sev == ft::Severity::Unrecovered &&
            redo < ftopt.max_panel_retries) {
       panel.copy_from(saved.as_const());
       sev = ft::Severity::Ok;
-      f = detail::tsqr_factor_attempt(dev, stream, panel, opt, sev);
+      f = attempt();
       if (sev == ft::Severity::Ok) sev = ft::Severity::Corrected;
       ++redo;
     }
@@ -410,13 +595,7 @@ PanelFactor<T> tsqr_factor(gpusim::Device& dev, gpusim::StreamId stream,
   return f;
 }
 
-template <typename T>
-PanelFactor<T> tsqr_factor(gpusim::Device& dev, MatrixView<T> panel,
-                           const TsqrOptions& opt) {
-  return tsqr_factor(dev, gpusim::kDefaultStream, panel, opt);
-}
-
-// Applies Q^T (transpose_q) or Q of a factored panel to `c`, which shares
+// Applies Q^T (transpose_q) or Q of one factored panel to `c`, which shares
 // the panel's row space (c.rows() == panel.rows()), launching on `stream`.
 // Zero-width panels and zero-column right-hand sides are no-ops.
 template <typename T>
@@ -424,79 +603,8 @@ void tsqr_apply(gpusim::Device& dev, gpusim::StreamId stream,
                 In<ConstMatrixView<T>> panel, const PanelFactor<T>& f,
                 In<MatrixView<T>> c, const TsqrOptions& opt, bool transpose_q,
                 ft::Severity* severity_out = nullptr) {
-  CAQR_CHECK(panel.rows() == f.rows && panel.cols() == f.width);
-  CAQR_CHECK(c.rows() == f.rows);
-  if (c.cols() == 0 || f.width == 0) return;
-  const auto cost = kernels::cost_params(opt.variant);
-  const double pen = dev.model().uncoalesced_penalty;
-  const double tile_pen = dev.model().tile_locality_penalty;
-
-  auto note = [&](ft::Severity s) {
-    if (severity_out != nullptr) *severity_out = ft::worse(*severity_out, s);
-  };
-  auto launch_h = [&] {
-    kernels::ApplyQtHKernel<T> k{panel,         &f.offsets(), f.taus0.data(), c,
-                                 opt.tile_cols, cost,         pen,
-                                 tile_pen,      false,        transpose_q};
-    note(dev.launch(stream, k, k.num_blocks()));
-  };
-  auto launch_tree = [&](idx l) {
-    kernels::ApplyQtTreeKernel<T> k{panel,         &f.level_groups(l),
-                                    f.level_taus(l), c,
-                                    opt.tile_cols, cost,
-                                    pen,           tile_pen,
-                                    false,         transpose_q};
-    note(dev.launch(stream, k, k.num_blocks()));
-  };
-
-  if (transpose_q) {
-    // Q^T = Q_L^T ... Q_1^T Q_0^T: level 0 first, then up the tree.
-    launch_h();
-    for (idx l = 0; l < f.num_levels(); ++l) launch_tree(l);
-  } else {
-    // Q = Q_0 Q_1 ... Q_L: down the tree, level 0 last.
-    for (idx l = f.num_levels() - 1; l >= 0; --l) launch_tree(l);
-    launch_h();
-  }
-}
-
-template <typename T>
-void tsqr_apply(gpusim::Device& dev, In<ConstMatrixView<T>> panel,
-                const PanelFactor<T>& f, In<MatrixView<T>> c,
-                const TsqrOptions& opt, bool transpose_q) {
-  tsqr_apply(dev, gpusim::kDefaultStream, panel, f, c, opt, transpose_q);
-}
-
-template <typename T>
-void tsqr_apply_qt(gpusim::Device& dev, gpusim::StreamId stream,
-                   In<ConstMatrixView<T>> panel, const PanelFactor<T>& f,
-                   In<MatrixView<T>> c, const TsqrOptions& opt,
-                   ft::Severity* severity_out = nullptr) {
-  tsqr_apply(dev, stream, panel, f, c, opt, /*transpose_q=*/true,
-             severity_out);
-}
-
-template <typename T>
-void tsqr_apply_qt(gpusim::Device& dev, In<ConstMatrixView<T>> panel,
-                   const PanelFactor<T>& f, In<MatrixView<T>> c,
-                   const TsqrOptions& opt) {
-  tsqr_apply(dev, gpusim::kDefaultStream, panel, f, c, opt,
-             /*transpose_q=*/true);
-}
-
-template <typename T>
-void tsqr_apply_q(gpusim::Device& dev, gpusim::StreamId stream,
-                  In<ConstMatrixView<T>> panel, const PanelFactor<T>& f,
-                  In<MatrixView<T>> c, const TsqrOptions& opt) {
-  tsqr_apply(dev, stream, panel, f, c, opt, /*transpose_q=*/false);
-}
-
-template <typename T>
-void tsqr_apply_q(gpusim::Device& dev, In<ConstMatrixView<T>> panel,
-                  const PanelFactor<T>& f, In<MatrixView<T>> c,
-                  const TsqrOptions& opt) {
-  tsqr_apply(dev, gpusim::kDefaultStream, panel, f, c, opt,
-             /*transpose_q=*/false);
+  tsqr_apply_span<T>(dev, stream, {&panel, 1}, {&f, 1}, {&c, 1}, opt,
+                     transpose_q, severity_out);
 }
 
 // Convenience single-panel TSQR: factors a copy of `a` and returns
@@ -519,7 +627,8 @@ struct TsqrResult {
   // Explicit thin Q (rows x width).
   Matrix<T> form_q(gpusim::Device& dev, const TsqrOptions& opt) const {
     Matrix<T> q = Matrix<T>::identity(meta.rows, meta.width);
-    tsqr_apply_q(dev, storage.view(), meta, q.view(), opt);
+    tsqr_apply(dev, gpusim::kDefaultStream, storage.view(), meta, q.view(), opt,
+               /*transpose_q=*/false);
     return q;
   }
 };
@@ -529,7 +638,8 @@ TsqrResult<view_scalar_t<VA>> tsqr(gpusim::Device& dev, const VA& a,
                                    const TsqrOptions& opt = {}) {
   using T = view_scalar_t<VA>;
   TsqrResult<T> out{Matrix<T>::from(cview(a)), {}};
-  out.meta = tsqr_factor(dev, out.storage.view(), opt);
+  out.meta =
+      tsqr_factor(dev, gpusim::kDefaultStream, out.storage.view(), opt);
   return out;
 }
 

@@ -360,6 +360,24 @@ std::string temp_path(const char* name) {
   return testing::TempDir() + name;
 }
 
+// Writes every section of `src` to `path` (a fresh, checksum-valid file),
+// with section `name`'s payload replaced by `bytes`.
+void write_with_section(const ft::CheckpointReader& src,
+                        const std::string& path, const std::string& name,
+                        const std::string& bytes) {
+  ft::CheckpointWriter w;
+  for (const std::string& s : src.section_names()) {
+    std::vector<char> raw;
+    ASSERT_TRUE(src.vec(s, raw)) << s;
+    if (s == name) {
+      w.bytes(s, bytes.data(), bytes.size());
+    } else {
+      w.bytes(s, raw.data(), raw.size());
+    }
+  }
+  ASSERT_TRUE(w.write(path));
+}
+
 TEST(FtCheckpoint, CaqrHaltAndResumeBitIdentical) {
   const auto a = matrix_with_condition<double>(192, 32, 1e6, 102);
   for (CaqrSchedule sched : {CaqrSchedule::Serial, CaqrSchedule::LookAhead}) {
@@ -411,6 +429,8 @@ TEST(FtCheckpoint, CorruptOrTruncatedCheckpointFallsBackToCleanStart) {
     ASSERT_TRUE(f.halted());
   }
   copt.halt_after_panels = 0;
+  const auto valid = ft::CheckpointReader::load(path);
+  ASSERT_TRUE(valid.has_value());
 
   // Flip one payload byte: the checksum mismatch must reject the file.
   {
@@ -452,6 +472,51 @@ TEST(FtCheckpoint, CorruptOrTruncatedCheckpointFallsBackToCleanStart) {
     auto f = CaqrFactorization<double>::factor(
         dev, Matrix<double>::from(a.view()), copt);
     EXPECT_FALSE(f.status().resumed_from_checkpoint);
+    const Matrix<double> q = f.form_q(dev, a.cols());
+    EXPECT_TRUE(numerics::verify_qr(a.view(), q.view(), f.r().view()).pass);
+  }
+
+  // Checksum-valid files whose contents do not fit this run: the resume
+  // must check every shape the kernels index by, not trust the file. The
+  // unmodified rewrite shows the crafted files are otherwise resumable.
+  auto raw = [&](const std::string& name) {
+    std::vector<char> bytes;
+    EXPECT_TRUE(valid->vec(name, bytes)) << name;
+    return std::string(bytes.begin(), bytes.end());
+  };
+  std::string short_a;  // a 64 x 16 "a" section for a 128 x 16 run
+  {
+    const std::int64_t dims[2] = {64, a.cols()};
+    short_a.append(reinterpret_cast<const char*>(dims), sizeof(dims));
+    for (idx j = 0; j < a.cols(); ++j) {
+      short_a.append(reinterpret_cast<const char*>(a.view().col(j)),
+                     64 * sizeof(double));
+    }
+  }
+  std::string short_taus = raw("p0.taus0");
+  short_taus.resize(short_taus.size() - sizeof(double));
+  std::string far_group = raw("p0.l0.gdata");
+  const idx outside = 1 << 20;  // a group row far below the 128-row panel
+  std::memcpy(far_group.data() + far_group.size() - sizeof(idx), &outside,
+              sizeof(idx));
+  struct Crafted {
+    const char* what;
+    std::string section, bytes;
+    bool resumes;
+  };
+  const Crafted cases[] = {
+      {"unmodified", "done", raw("done"), true},
+      {"wrong a shape", "a", short_a, false},
+      {"short taus0", "p0.taus0", short_taus, false},
+      {"group row outside the panel", "p0.l0.gdata", far_group, false},
+  };
+  for (const Crafted& c : cases) {
+    SCOPED_TRACE(c.what);
+    write_with_section(*valid, path, c.section, c.bytes);
+    Device dev;
+    auto f = CaqrFactorization<double>::factor(
+        dev, Matrix<double>::from(a.view()), copt);
+    EXPECT_EQ(f.status().resumed_from_checkpoint, c.resumes);
     const Matrix<double> q = f.form_q(dev, a.cols());
     EXPECT_TRUE(numerics::verify_qr(a.view(), q.view(), f.r().view()).pass);
   }

@@ -422,27 +422,40 @@ TEST(FactorBatch, BitIdenticalToSoloRuns) {
     inputs.push_back(gaussian_matrix<float>(m, n, 200 + static_cast<int>(i)));
   }
 
-  std::vector<QrSolveResult<float>> solo;
-  for (const auto& a : inputs) {
-    Device dev;
-    solo.push_back(adaptive_qr(dev, a.view(), QrAlgorithm::Caqr));
-  }
+  // The default decomposition, and a custom tree_spec (a binary tree over
+  // 64-row blocks) that the batch must honour exactly as the solo path does.
+  CaqrOptions binary;
+  binary.tsqr.tree_spec = [](idx rows, idx width) {
+    tsqr::TsqrOptions t;
+    t.block_rows = 64;
+    t.arity = 2;
+    return tsqr::uniform_tree_spec(rows, width, t);
+  };
+  for (const CaqrOptions& opt : {CaqrOptions{}, binary}) {
+    SCOPED_TRACE(opt.tsqr.tree_spec ? "binary tree_spec" : "default spec");
+    std::vector<QrSolveResult<float>> solo;
+    for (const auto& a : inputs) {
+      Device dev;
+      solo.push_back(adaptive_qr(dev, a.view(), QrAlgorithm::Caqr, opt));
+    }
 
-  Device dev;
-  std::vector<Matrix<float>> copies;
-  for (const auto& a : inputs) copies.push_back(Matrix<float>::from(a.view()));
-  auto batch = factor_batch(dev, std::move(copies), QrAlgorithm::Caqr);
-  ASSERT_EQ(batch.problems.size(), static_cast<std::size_t>(k));
-  EXPECT_EQ(batch.used, QrAlgorithm::Caqr);
-  for (idx i = 0; i < k; ++i) {
-    const auto& bp = batch.problems[static_cast<std::size_t>(i)];
-    expect_bits_equal(bp.q, solo[static_cast<std::size_t>(i)].q, "batch Q");
-    expect_bits_equal(bp.r, solo[static_cast<std::size_t>(i)].r, "batch R");
+    Device dev;
+    std::vector<Matrix<float>> copies;
+    for (const auto& a : inputs) {
+      copies.push_back(Matrix<float>::from(a.view()));
+    }
+    auto batch = factor_batch(dev, std::move(copies), QrAlgorithm::Caqr, opt);
+    ASSERT_EQ(batch.problems.size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(batch.used, QrAlgorithm::Caqr);
+    for (idx i = 0; i < k; ++i) {
+      const auto& bp = batch.problems[static_cast<std::size_t>(i)];
+      expect_bits_equal(bp.q, solo[static_cast<std::size_t>(i)].q, "batch Q");
+      expect_bits_equal(bp.r, solo[static_cast<std::size_t>(i)].r, "batch R");
+    }
+    // One fused schedule, not k: fewer launches than the k solo runs issued.
+    EXPECT_GT(batch.fused_launches, 0);
+    EXPECT_LT(batch.simulated_seconds, k * solo.front().simulated_seconds);
   }
-  // One fused schedule, not k: fewer launches than the k solo runs issued.
-  EXPECT_GT(batch.fused_launches, 0);
-  EXPECT_LT(batch.simulated_seconds,
-            k * solo.front().simulated_seconds);
 }
 
 TEST(FactorBatch, FusedLaunchesVisibleInModelOnlyTimeline) {
@@ -452,7 +465,10 @@ TEST(FactorBatch, FusedLaunchesVisibleInModelOnlyTimeline) {
     probs.push_back(Matrix<float>::shape_only(110592, 100));
   }
   auto batch = factor_batch(dev, std::move(probs), QrAlgorithm::Caqr);
-  EXPECT_GT(batch.simulated_seconds, 0.0);
+  // Golden simulated time of the fused schedule, recorded before the batch
+  // loop moved onto the tsqr/ span sequences: the rewrite must not move
+  // the simulated clock by a single bit.
+  EXPECT_EQ(batch.simulated_seconds, 0x1.2747e0d15521dp-3);
 
   bool saw_factor = false, saw_apply = false;
   long long fused_ops = 0;

@@ -103,7 +103,7 @@ TEST(SlidingWindowQr, AppendPathBitIdenticalToFromScratchTsqr) {
     return s;
   };
   auto panel = a.clone();
-  tsqr::tsqr_factor(dev, panel.view(), topt);
+  tsqr::tsqr_factor(dev, gpusim::kDefaultStream, panel.view(), topt);
   Matrix<double> r_scratch = Matrix<double>::zeros(n, n);
   for (idx j = 0; j < n; ++j) {
     for (idx i = 0; i <= j; ++i) r_scratch(i, j) = panel(i, j);

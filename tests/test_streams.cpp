@@ -400,8 +400,8 @@ TEST(ZeroWidth, TsqrZeroWidthPanel) {
   // Applying the zero-width factor leaves the right-hand side untouched.
   auto c = gaussian_matrix<double>(8, 3, 1101);
   const auto c0 = Matrix<double>::from(c.view().as_const());
-  tsqr::tsqr_apply_qt(dev, res.storage.view(), res.meta, c.view(),
-                      tsqr::TsqrOptions{});
+  tsqr::tsqr_apply(dev, gpusim::kDefaultStream, res.storage.view(), res.meta,
+                   c.view(), tsqr::TsqrOptions{}, /*transpose_q=*/true);
   for (idx i = 0; i < 8; ++i) {
     for (idx j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(c(i, j), c0(i, j));
   }

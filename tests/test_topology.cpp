@@ -5,8 +5,8 @@
 // waves == ceil(log2 K), inter-node sends == K-1 per reduction, intra-node
 // traffic independent of the inter-node link class), BIT-identity of
 // hierarchical specs against the single-device replay, the typed
-// PartitionError, 2D block-cyclic sharding, grid-FT recovery when the lost
-// device sits inside a node subtree, and the topology-aware plan probe.
+// PartitionError, grid-FT recovery when the lost device sits inside a node
+// subtree, and the topology-aware plan probe.
 
 #include <gtest/gtest.h>
 
@@ -307,59 +307,6 @@ TEST(DistMatrixError, InfeasiblePartitionThrowsTypedTriple) {
   }
   // Feasible boundary case still works.
   EXPECT_EQ(even_partition(32, 4, 8), (std::vector<idx>{0, 8, 16, 24, 32}));
-}
-
-// ------------------------------------------------------- 2D block-cyclic
-
-TEST(BlockCyclic, OwnerMapAndLocalExtents) {
-  BlockCyclicLayout lay;
-  lay.pr = 2;
-  lay.pc = 2;
-  lay.br = 4;
-  lay.bc = 4;
-  EXPECT_EQ(lay.devices(), 4);
-  EXPECT_EQ(lay.owner(0, 0), 0);
-  EXPECT_EQ(lay.owner(0, 4), 1);
-  EXPECT_EQ(lay.owner(4, 0), 2);
-  EXPECT_EQ(lay.owner(4, 4), 3);
-  EXPECT_EQ(lay.owner(8, 8), 0);  // cycles wrap
-  // numroc-style extents: 10 rows in 4-row blocks over 2 grid rows.
-  EXPECT_EQ(lay.local_rows(10, 0), 6);  // blocks 0 and 2 (truncated)
-  EXPECT_EQ(lay.local_rows(10, 1), 4);  // block 1
-  // Every global element lands inside its owner's local extent.
-  const idx rows = 13, cols = 9;
-  for (idx i = 0; i < rows; ++i) {
-    for (idx j = 0; j < cols; ++j) {
-      const int d = lay.owner(i, j);
-      EXPECT_LT(lay.local_row(i), lay.local_rows(rows, lay.grid_row(d)));
-      EXPECT_LT(lay.local_col(j), lay.local_cols(cols, lay.grid_col(d)));
-    }
-  }
-}
-
-TEST(BlockCyclic, ScatterGatherRoundTrip) {
-  const auto a = matrix_with_condition<double>(37, 21, 1e3, 11);
-  BlockCyclicLayout lay;
-  lay.pr = 2;
-  lay.pc = 3;
-  lay.br = 8;
-  lay.bc = 4;
-  const auto m = BlockCyclicMatrix<double>::scatter(a.view(), lay);
-  EXPECT_EQ(m.num_shards(), 6);
-  expect_bits_equal(a, m.gather(), "block-cyclic scatter/gather");
-  // Shard shapes match the layout's local extents (zero-size shards are
-  // legal when a grid column owns no blocks).
-  for (int d = 0; d < lay.devices(); ++d) {
-    EXPECT_EQ(m.shard(d).rows(), lay.local_rows(37, lay.grid_row(d)));
-    EXPECT_EQ(m.shard(d).cols(), lay.local_cols(21, lay.grid_col(d)));
-  }
-  // shape_only mirrors the same shapes without storage.
-  const auto s = BlockCyclicMatrix<double>::shape_only(37, 21, lay);
-  EXPECT_FALSE(s.functional());
-  for (int d = 0; d < lay.devices(); ++d) {
-    EXPECT_EQ(s.shard(d).rows(), m.shard(d).rows());
-    EXPECT_EQ(s.shard(d).cols(), m.shard(d).cols());
-  }
 }
 
 // ------------------------------------------------- grid FT on a NodeGrid
