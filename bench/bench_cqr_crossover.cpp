@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_artifact.hpp"
 #include "common/cli.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/solver_pool.hpp"
@@ -162,39 +163,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string json = "{\"mode\":\"ModelOnly\",\"results\":[";
-  char buf[640];
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"model\":\"%s\",\"rows\":%lld,\"cols\":%lld,\"dtype\":\"%s\","
-        "\"cond_hint\":%.3e,\"cond_bucket\":%d,\"chosen\":\"%s\","
-        "\"predicted_seconds\":{\"caqr\":%.6e,\"hybrid\":%.6e,"
-        "\"cholqr2\":%.6e,\"cholqr3\":%.6e,\"cholqr2_mixed\":%.6e},"
-        "\"simulated_seconds\":%.6e,\"rel_err\":%.4f}",
-        i ? "," : "", r.model, static_cast<long long>(r.m),
-        static_cast<long long>(r.n), r.scalar_size == 4 ? "float" : "double",
-        r.cond_hint, r.plan.key.cond_bucket, algo_name(r.plan.chosen),
-        r.plan.predicted_caqr_seconds, r.plan.predicted_hybrid_seconds,
-        r.plan.predicted_cholqr2_seconds, r.plan.predicted_cholqr3_seconds,
-        r.plan.predicted_cholqr2_mixed_seconds, r.simulated, r.rel_err);
-    json += buf;
+  json::Writer w = bench::begin_artifact();
+  w.field("mode", "ModelOnly").key("results").begin_array();
+  for (const Row& r : rows) {
+    w.begin_object().field("model", r.model).field("rows", r.m);
+    w.field("cols", r.n);
+    w.field("dtype", r.scalar_size == 4 ? "float" : "double");
+    w.field("cond_hint", r.cond_hint);
+    w.field("cond_bucket", r.plan.key.cond_bucket);
+    w.field("chosen", algo_name(r.plan.chosen));
+    w.key("predicted_seconds").begin_object();
+    w.field("caqr", r.plan.predicted_caqr_seconds);
+    w.field("hybrid", r.plan.predicted_hybrid_seconds);
+    w.field("cholqr2", r.plan.predicted_cholqr2_seconds);
+    w.field("cholqr3", r.plan.predicted_cholqr3_seconds);
+    w.field("cholqr2_mixed", r.plan.predicted_cholqr2_mixed_seconds);
+    w.end_object().field("simulated_seconds", r.simulated);
+    w.field("rel_err", r.rel_err).end_object();
   }
-  std::snprintf(buf, sizeof(buf),
-                "],\"acceptance\":{"
-                "\"cholqr2_region_within_15pct\":%s,"
-                "\"no_inadmissible_cholqr_pick\":%s}}",
-                cqr2_region ? "true" : "false",
-                inadmissible_pick ? "false" : "true");
-  json += buf;
-
-  const char* json_path = "BENCH_cqr_crossover.json";
-  if (std::FILE* jf = std::fopen(json_path, "w")) {
-    std::fputs(json.c_str(), jf);
-    std::fclose(jf);
-    std::printf("\nWrote %s\n", json_path);
-  }
+  w.end_array().key("acceptance").begin_object();
+  w.field("cholqr2_region_within_15pct", cqr2_region);
+  w.field("no_inadmissible_cholqr_pick", !inadmissible_pick).end_object();
+  bench::write_artifact("BENCH_cqr_crossover.json", w);
 
   std::printf(
       "\nCholeskyQR2 region with <= 15%% predicted-vs-simulated error: %s\n"

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_artifact.hpp"
 #include "caqr/caqr.hpp"
 #include "common/cli.hpp"
 #include "dist/device_grid.hpp"
@@ -251,12 +252,6 @@ OverloadResult run_overload(std::uint64_t seed) {
   return o;
 }
 
-std::string json_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -270,15 +265,13 @@ int main(int argc, char** argv) {
   const idx m = quick ? 768 : 4096;
   const idx n = quick ? 32 : 64;
 
-  std::string json = "{\"mode\":\"";
-  json += quick ? "quick" : "full";
-  json += "\",\"drop_p\":" + json_num(kDropP) +
-          ",\"flip_p\":" + json_num(kFlipP) + ",\"cells\":[";
+  json::Writer w = bench::begin_artifact();
+  w.field("mode", quick ? "quick" : "full").field("drop_p", kDropP);
+  w.field("flip_p", kFlipP).key("cells").begin_array();
 
   const Matrix<double> a = matrix_with_condition<double>(m, n, 1e6, seed);
 
   bool all_cells_ok = true;
-  bool first = true;
   // Recovered-regime overhead (vs fault-free) at the max device count.
   double drop_overhead = 0, loss_overhead = 0;
   std::uint64_t fault_seed = seed ^ 0xD15FA17ULL;
@@ -311,26 +304,17 @@ int main(int argc, char** argv) {
               : (c.bit_identical ? "bit-identical    " : "verified         "),
           c.injected, c.retried, c.device_losses, c.attempts, c.grid_seconds,
           overhead, c.ok ? "ok" : "FAIL");
-      json += first ? "" : ",";
-      first = false;
-      json += "{\"regime\":\"" + c.regime +
-              "\",\"devices\":" + std::to_string(c.devices) +
-              ",\"completed\":" + (c.completed ? "true" : "false") +
-              ",\"ok\":" + (c.ok ? "true" : "false") +
-              ",\"bit_identical\":" + (c.bit_identical ? "true" : "false") +
-              ",\"verified\":" + (c.verified ? "true" : "false") +
-              ",\"typed_unrecovered\":" +
-              (c.typed_unrecovered ? "true" : "false") +
-              ",\"residual\":" + json_num(c.residual) +
-              ",\"grid_seconds\":" + json_num(c.grid_seconds) +
-              ",\"overhead\":" + json_num(overhead) +
-              ",\"injected\":" + std::to_string(c.injected) +
-              ",\"retried\":" + std::to_string(c.retried) +
-              ",\"device_losses\":" + std::to_string(c.device_losses) +
-              ",\"attempts\":" + std::to_string(c.attempts) + "}";
+      w.begin_object().field("regime", c.regime).field("devices", c.devices);
+      w.field("completed", c.completed).field("ok", c.ok);
+      w.field("bit_identical", c.bit_identical).field("verified", c.verified);
+      w.field("typed_unrecovered", c.typed_unrecovered);
+      w.field("residual", c.residual).field("grid_seconds", c.grid_seconds);
+      w.field("overhead", overhead).field("injected", c.injected);
+      w.field("retried", c.retried).field("device_losses", c.device_losses);
+      w.field("attempts", c.attempts).end_object();
     }
   }
-  json += "]";
+  w.end_array();
 
   std::printf("\nServe overload (2x capacity burst, shedding armed):\n");
   const OverloadResult ov = run_overload(seed);
@@ -339,25 +323,16 @@ int main(int argc, char** argv) {
       " %s\n",
       ov.submitted_total, ov.done, ov.shed, ov.expired, ov.solve_retries,
       ov.ok ? "ok" : "FAIL");
-  json += ",\"overload\":{\"submitted\":" + std::to_string(ov.submitted_total) +
-          ",\"done\":" + std::to_string(ov.done) +
-          ",\"shed\":" + std::to_string(ov.shed) +
-          ",\"expired\":" + std::to_string(ov.expired) +
-          ",\"solve_retries\":" + std::to_string(ov.solve_retries) +
-          ",\"ok\":" + (ov.ok ? "true" : "false") + "}";
+  w.key("overload").begin_object().field("submitted", ov.submitted_total);
+  w.field("done", ov.done).field("shed", ov.shed).field("expired", ov.expired);
+  w.field("solve_retries", ov.solve_retries).field("ok", ov.ok).end_object();
 
   const bool overhead_ok = drop_overhead > 0 && drop_overhead <= 2.0 &&
                            loss_overhead > 0 && loss_overhead <= 2.0;
-  json += ",\"max_devices_drop_overhead\":" + json_num(drop_overhead) +
-          ",\"max_devices_loss_overhead\":" + json_num(loss_overhead) +
-          ",\"overhead_gate\":" + (overhead_ok ? "true" : "false") + "}";
-
-  const char* json_path = "BENCH_dist_recovery.json";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nWrote %s\n", json_path);
-  }
+  w.field("max_devices_drop_overhead", drop_overhead);
+  w.field("max_devices_loss_overhead", loss_overhead);
+  w.field("overhead_gate", overhead_ok);
+  bench::write_artifact("BENCH_dist_recovery.json", w);
 
   const bool ok = all_cells_ok && overhead_ok && ov.ok;
   std::printf("chaos cells %s, %d-device recovery overhead drop %.2fx / "

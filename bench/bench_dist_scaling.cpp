@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_artifact.hpp"
 #include "caqr/caqr.hpp"
 #include "common/cli.hpp"
 #include "dist/device_grid.hpp"
@@ -100,8 +101,10 @@ ScalingPoint run_model_only(idx m, idx n, int devices,
   p.devices = devices;
   p.seconds = grid.elapsed_seconds();
   p.comm = grid.comm_stats();
-  if (trace_path != nullptr && dist::write_grid_trace_json(grid, trace_path)) {
-    std::printf("Wrote %s\n", trace_path);
+  if (trace_path != nullptr) {
+    json::Writer w = bench::begin_artifact();
+    dist::write_grid_trace(w, grid);
+    bench::write_artifact(trace_path, w);
   }
   return p;
 }
@@ -246,12 +249,6 @@ BitIdentityCase check_bit_identity(const Matrix<float>& a, int devices,
   return c;
 }
 
-std::string json_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -261,9 +258,8 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("seed", 17));
 
   const std::vector<int> counts = {1, 2, 4, 8};
-  std::string json = "{\"mode\":\"";
-  json += quick ? "quick" : "full";
-  json += "\"";
+  json::Writer w = bench::begin_artifact();
+  w.field("mode", quick ? "quick" : "full");
 
   // ---- 1. strong scaling ---------------------------------------------------
   std::printf("Strong scaling, %lld x %lld f32, PCIe-like links:\n",
@@ -275,33 +271,28 @@ int main(int argc, char** argv) {
         n == 8 ? "BENCH_dist_scaling_trace.json" : nullptr));
   }
   const double t1 = strong.front().seconds;
-  json += ",\"strong_scaling\":[";
-  for (std::size_t i = 0; i < strong.size(); ++i) {
-    const auto& p = strong[i];
+  w.key("strong_scaling").begin_array();
+  for (const auto& p : strong) {
     const double speedup = t1 / p.seconds;
     std::printf("  N=%d  %.4f s  speedup %.2fx  comm %.1f MiB in %lld "
                 "transfers (%.4f s link time)\n",
                 p.devices, p.seconds, speedup, p.comm.bytes / (1 << 20),
                 p.comm.transfers, p.comm.seconds);
-    json += i ? "," : "";
-    json += "{\"devices\":" + std::to_string(p.devices) +
-            ",\"seconds\":" + json_num(p.seconds) +
-            ",\"speedup\":" + json_num(speedup) +
-            ",\"comm_bytes\":" + json_num(p.comm.bytes) +
-            ",\"comm_transfers\":" + std::to_string(p.comm.transfers) +
-            ",\"comm_seconds\":" + json_num(p.comm.seconds) + "}";
+    w.begin_object().field("devices", p.devices).field("seconds", p.seconds);
+    w.field("speedup", speedup).field("comm_bytes", p.comm.bytes);
+    w.field("comm_transfers", p.comm.transfers);
+    w.field("comm_seconds", p.comm.seconds).end_object();
   }
-  json += "]";
+  w.end_array();
   const double speedup8 = t1 / strong.back().seconds;
 
   // ---- 2. weak scaling -----------------------------------------------------
   std::printf("\nWeak scaling, %lld rows/device x %lld:\n",
               static_cast<long long>(kWeakRowsPerDevice),
               static_cast<long long>(kCols));
-  json += ",\"weak_scaling\":[";
+  w.key("weak_scaling").begin_array();
   double weak1 = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const int n = counts[i];
+  for (const int n : counts) {
     const auto p = run_model_only(kWeakRowsPerDevice * n, kCols, n,
                                   InterconnectModel::pcie_switch(), 2);
     if (n == 1) weak1 = p.seconds;
@@ -309,18 +300,16 @@ int main(int argc, char** argv) {
     std::printf("  N=%d  %lld rows  %.4f s  efficiency %.2f\n", n,
                 static_cast<long long>(kWeakRowsPerDevice) * n, p.seconds,
                 eff);
-    json += i ? "," : "";
-    json += "{\"devices\":" + std::to_string(n) +
-            ",\"rows\":" + std::to_string(kWeakRowsPerDevice * n) +
-            ",\"seconds\":" + json_num(p.seconds) +
-            ",\"efficiency\":" + json_num(eff) + "}";
+    w.begin_object().field("devices", n);
+    w.field("rows", kWeakRowsPerDevice * n).field("seconds", p.seconds);
+    w.field("efficiency", eff).end_object();
   }
-  json += "]";
+  w.end_array();
 
   // ---- 3. communication volume --------------------------------------------
   std::printf("\nCommunication volume at %lld x %lld (measured vs analytic):\n",
               static_cast<long long>(kRows), static_cast<long long>(kCols));
-  json += ",\"comm_volume\":[";
+  w.key("comm_volume").begin_array();
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const int n = counts[i];
     const double caqr = strong[i].comm.bytes;
@@ -330,13 +319,11 @@ int main(int argc, char** argv) {
                 "%lld-wide tree %.2f MiB\n",
                 n, caqr / (1 << 20), naive / (1 << 20),
                 static_cast<long long>(kCols), tree / (1 << 20));
-    json += i ? "," : "";
-    json += "{\"devices\":" + std::to_string(n) +
-            ",\"caqr_bytes\":" + json_num(caqr) +
-            ",\"naive_gather_bytes\":" + json_num(naive) +
-            ",\"single_tree_bytes\":" + json_num(tree) + "}";
+    w.begin_object().field("devices", n).field("caqr_bytes", caqr);
+    w.field("naive_gather_bytes", naive);
+    w.field("single_tree_bytes", tree).end_object();
   }
-  json += "]";
+  w.end_array();
 
   // ---- 4. interconnect / tree shape ---------------------------------------
   const auto nvlink8 =
@@ -346,10 +333,10 @@ int main(int argc, char** argv) {
   std::printf("\n8-device variants: pcie/binary %.4f s   nvlink/binary %.4f "
               "s   pcie/quad %.4f s\n",
               strong.back().seconds, nvlink8.seconds, quad8.seconds);
-  json += ",\"variants_8dev\":{\"pcie_binary\":" +
-          json_num(strong.back().seconds) +
-          ",\"nvlink_binary\":" + json_num(nvlink8.seconds) +
-          ",\"pcie_quad\":" + json_num(quad8.seconds) + "}";
+  w.key("variants_8dev").begin_object();
+  w.field("pcie_binary", strong.back().seconds);
+  w.field("nvlink_binary", nvlink8.seconds);
+  w.field("pcie_quad", quad8.seconds).end_object();
 
   // ---- 5. hierarchy + communication lower bound ----------------------------
   const int kHierDevices = 8;
@@ -361,14 +348,11 @@ int main(int argc, char** argv) {
               "%.0fx):\n",
               kHierDevices, bound_total, cap_total);
   bool hier_ok = true;
-  json += ",\"hierarchy\":{\"rows\":" + std::to_string(kRows) +
-          ",\"cols\":" + std::to_string(kCols) +
-          ",\"devices\":" + std::to_string(kHierDevices) +
-          ",\"dghl_bound_words_total\":" + json_num(bound_total) +
-          ",\"polylog_cap_total\":" + json_num(cap_total) + ",\"points\":[";
-  const std::vector<int> node_counts = {1, 2, 4};
-  for (std::size_t i = 0; i < node_counts.size(); ++i) {
-    const int k = node_counts[i];
+  w.key("hierarchy").begin_object().field("rows", kRows);
+  w.field("cols", kCols).field("devices", kHierDevices);
+  w.field("dghl_bound_words_total", bound_total);
+  w.field("polylog_cap_total", cap_total).key("points").begin_array();
+  for (const int k : {1, 2, 4}) {
     const HierPoint h = run_hier(kRows, kCols, k, kHierDevices / k);
     const double words_total = h.comm.bytes / sizeof(float);
     const double words_inter = h.comm.inter_bytes / sizeof(float);
@@ -398,34 +382,30 @@ int main(int argc, char** argv) {
         h.comm.inter_bytes / (1 << 20), h.comm.inter_transfers, h.inter_waves,
         expected_waves, words_total, ratio_total, inter_note,
         point_ok ? "ok" : "FAIL");
-    json += i ? "," : "";
-    json += "{\"nodes\":" + std::to_string(k) +
-            ",\"devices_per_node\":" + std::to_string(h.devices_per_node) +
-            ",\"seconds_topo\":" + json_num(h.seconds_topo) +
-            ",\"seconds_uniform\":" + json_num(h.seconds_uniform) +
-            ",\"intra_bytes\":" + json_num(h.comm.intra_bytes) +
-            ",\"intra_transfers\":" + std::to_string(h.comm.intra_transfers) +
-            ",\"inter_bytes\":" + json_num(h.comm.inter_bytes) +
-            ",\"inter_transfers\":" + std::to_string(h.comm.inter_transfers) +
-            ",\"inter_waves\":" + std::to_string(h.inter_waves) +
-            ",\"inter_waves_expected\":" + std::to_string(expected_waves) +
-            ",\"measured_words_total\":" + json_num(words_total) +
-            ",\"ratio_total\":" + json_num(ratio_total) +
-            ",\"measured_words_inter\":" + json_num(words_inter) +
-            ",\"dghl_bound_words_inter\":" + json_num(bound_inter) +
-            ",\"ratio_inter\":" + json_num(ratio_inter) +
-            ",\"polylog_cap_inter\":" + json_num(cap_inter) +
-            ",\"pass\":" + (point_ok ? "true" : "false") + "}";
+    w.begin_object().field("nodes", k);
+    w.field("devices_per_node", h.devices_per_node);
+    w.field("seconds_topo", h.seconds_topo);
+    w.field("seconds_uniform", h.seconds_uniform);
+    w.field("intra_bytes", h.comm.intra_bytes);
+    w.field("intra_transfers", h.comm.intra_transfers);
+    w.field("inter_bytes", h.comm.inter_bytes);
+    w.field("inter_transfers", h.comm.inter_transfers);
+    w.field("inter_waves", h.inter_waves);
+    w.field("inter_waves_expected", expected_waves);
+    w.field("measured_words_total", words_total);
+    w.field("ratio_total", ratio_total);
+    w.field("measured_words_inter", words_inter);
+    w.field("dghl_bound_words_inter", bound_inter);
+    w.field("ratio_inter", ratio_inter);
+    w.field("polylog_cap_inter", cap_inter);
+    w.field("pass", point_ok).end_object();
   }
-  json += "],\"pass\":";
-  json += hier_ok ? "true" : "false";
-  json += "}";
+  w.end_array().field("pass", hier_ok).end_object();
 
   // ---- 5. functional bit-identity ------------------------------------------
   std::printf("\nBit-identity vs single-device equivalent tree:\n");
   bool all_identical = true;
-  json += ",\"bit_identity\":[";
-  bool first = true;
+  w.key("bit_identity").begin_array();
   struct Shape {
     idx m, n;
     bool verify;
@@ -446,24 +426,14 @@ int main(int argc, char** argv) {
                   c.devices, c.identical ? "bit-identical" : "MISMATCH",
                   s.verify ? (c.verified ? ", verifier ok" : ", verifier FAIL")
                            : "");
-      json += first ? "" : ",";
-      first = false;
-      json += "{\"m\":" + std::to_string(c.m) +
-              ",\"n\":" + std::to_string(c.n) +
-              ",\"devices\":" + std::to_string(c.devices) +
-              ",\"identical\":" + (c.identical ? "true" : "false") +
-              ",\"verified\":" + (c.verified ? "true" : "false") +
-              ",\"residual\":" + json_num(c.residual) + "}";
+      w.begin_object().field("m", c.m).field("n", c.n);
+      w.field("devices", c.devices).field("identical", c.identical);
+      w.field("verified", c.verified).field("residual", c.residual);
+      w.end_object();
     }
   }
-  json += "]}";
-
-  const char* json_path = "BENCH_dist_scaling.json";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nWrote %s\n", json_path);
-  }
+  w.end_array();
+  bench::write_artifact("BENCH_dist_scaling.json", w);
 
   const bool ok = speedup8 > 1.0 && all_identical && hier_ok;
   std::printf(

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "baselines/qr_baselines.hpp"
+#include "bench_artifact.hpp"
 #include "caqr/caqr.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -26,8 +27,8 @@ using namespace caqr;
 std::string verification_other_data() {
   const idx vm = 1024, vn = 48;
   const auto a = matrix_with_condition<float>(vm, vn, 1e4, 11);
-  std::string rows = "{\"verification\":[";
-  bool first = true;
+  json::Writer w;
+  w.begin_object().key("verification").begin_array();
   bool all_pass = true;
   for (const CaqrSchedule sched :
        {CaqrSchedule::Serial, CaqrSchedule::LookAhead}) {
@@ -40,16 +41,14 @@ std::string verification_other_data() {
     const auto r = f.r();
     const auto rep = numerics::verify_qr(a.view(), q.view(), r.view());
     all_pass = all_pass && rep.pass;
-    rows += first ? "" : ",";
-    rows += numerics::verify_json_object(
+    w.raw(numerics::verify_json_object(
         rep, sched == CaqrSchedule::Serial ? "caqr_serial_1024x48_f32"
-                                           : "caqr_lookahead_1024x48_f32");
-    first = false;
+                                           : "caqr_lookahead_1024x48_f32"));
   }
-  rows += "]}";
+  w.end_array().end_object();
   std::printf("Functional verification (1024 x 48, f32, both schedules): %s\n",
               all_pass ? "pass" : "FAIL");
-  return rows;
+  return w.str();
 }
 
 double caqr_seconds(idx m, idx n) {
@@ -129,13 +128,10 @@ int main(int argc, char** argv) {
     auto f = CaqrFactorization<float>::factor(
         dev, Matrix<float>::shape_only(1048576, 192));
     (void)f;
-    const char* trace_path = "BENCH_fig8_speedup_trace.json";
-    if (gpusim::write_trace_json(dev, trace_path, verification_other_data(),
-                                 /*host_profile=*/true)) {
-      std::printf("Wrote 1M x 192 look-ahead stream trace to %s\n", trace_path);
-    } else {
-      std::printf("Failed to write %s\n", trace_path);
-    }
+    json::Writer w = bench::begin_artifact();
+    gpusim::write_trace(w, dev, verification_other_data(),
+                        /*host_profile=*/true);
+    bench::write_artifact("BENCH_fig8_speedup_trace.json", w);
   }
   return 0;
 }

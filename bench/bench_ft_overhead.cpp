@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_artifact.hpp"
 #include "caqr/caqr.hpp"
 #include "common/cli.hpp"
 #include "ft/checkpoint.hpp"
@@ -176,29 +177,23 @@ int main(int argc, char** argv) {
       rpca_ckpt_bytes / (1024.0 * 1024.0), rres.iterations, rp_total);
   std::remove(ckpt_path.c_str());
 
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"model_only\":{\"rows\":%lld,\"cols\":%lld,"
-      "\"serial\":{\"seconds_ft_off\":%.6e,\"seconds_detect_only\":%.6e,"
-      "\"seconds_ft_on\":%.6e,\"overhead_pct\":%.3f},"
-      "\"lookahead\":{\"seconds_ft_off\":%.6e,\"seconds_detect_only\":%.6e,"
-      "\"seconds_ft_on\":%.6e,\"overhead_pct\":%.3f}},"
-      "\"functional\":{\"rows\":%lld,\"cols\":%lld,"
-      "\"wall_seconds_ft_off\":%.4f,\"wall_seconds_ft_on\":%.4f},"
-      "\"checkpoint\":{\"caqr_file_bytes\":%zu,\"caqr_seconds_each\":%.5f,"
-      "\"rpca_file_bytes\":%zu}}",
-      static_cast<long long>(m), static_cast<long long>(n),
-      cells[0].seconds_off, cells[0].seconds_detect, cells[0].seconds_on,
-      cells[0].overhead_pct, cells[1].seconds_off, cells[1].seconds_detect,
-      cells[1].seconds_on, cells[1].overhead_pct,
-      static_cast<long long>(fm), static_cast<long long>(fn), func_off,
-      func_on, ckpt_bytes, ckpt_seconds_each, rpca_ckpt_bytes);
-  const char* json_path = "BENCH_ft_overhead.json";
-  if (std::FILE* jf = std::fopen(json_path, "w")) {
-    std::fputs(buf, jf);
-    std::fclose(jf);
-    std::printf("\nWrote %s\n", json_path);
+  json::Writer w = bench::begin_artifact();
+  w.key("model_only").begin_object().field("rows", m).field("cols", n);
+  for (const ModelCell& c : cells) {
+    w.key(c.schedule).begin_object();
+    w.field("seconds_ft_off", c.seconds_off);
+    w.field("seconds_detect_only", c.seconds_detect);
+    w.field("seconds_ft_on", c.seconds_on);
+    w.field("overhead_pct", c.overhead_pct).end_object();
   }
+  w.end_object().key("functional").begin_object();
+  w.field("rows", fm).field("cols", fn);
+  w.field("wall_seconds_ft_off", func_off);
+  w.field("wall_seconds_ft_on", func_on).end_object();
+  w.key("checkpoint").begin_object();
+  w.field("caqr_file_bytes", ckpt_bytes);
+  w.field("caqr_seconds_each", ckpt_seconds_each);
+  w.field("rpca_file_bytes", rpca_ckpt_bytes).end_object();
+  bench::write_artifact("BENCH_ft_overhead.json", w);
   return 0;
 }

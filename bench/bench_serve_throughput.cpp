@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_artifact.hpp"
 #include "common/cli.hpp"
 #include "common/profile.hpp"
 #include "serve/solver_pool.hpp"
@@ -125,8 +126,9 @@ Cell run_config(idx m, idx n, int problems, int workers, int batch,
 // requests, and dump the counters. Warmup absorbs the one-time costs (plan
 // miss, worker/device construction, allocator warm pools) so the window is
 // the per-request marginal cost — the quantity the arena work targets.
-std::string run_profile_window(idx m, idx n, int workers, int warmup,
-                               int measured) {
+// Writes the window's members into the artifact `w`.
+void run_profile_window(json::Writer& w, idx m, idx n, int workers,
+                        int warmup, int measured) {
   PoolOptions po;
   po.workers = workers;
   po.queue_capacity = static_cast<std::size_t>(warmup + measured) + 8;
@@ -168,37 +170,26 @@ std::string run_profile_window(idx m, idx n, int workers, int warmup,
                 s.count, s.value);
   }
 
-  char buf[256];
-  std::string json = "{\"shape\":{";
-  std::snprintf(buf, sizeof(buf),
-                "\"rows\":%lld,\"cols\":%lld,\"dtype\":\"float\"},"
-                "\"mode\":\"ModelOnly\",\"workers\":%d,"
-                "\"warmup_requests\":%d,\"measured_requests\":%d,"
-                "\"wall_seconds\":%.4f,",
-                static_cast<long long>(m), static_cast<long long>(n), workers,
-                warmup, measured, wall);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "\"per_request\":{\"allocations\":%.1f,"
-                "\"allocated_bytes\":%.0f,\"host_us\":%.1f},",
-                static_cast<double>(allocs) / measured,
-                static_cast<double>(alloc_bytes) / measured,
-                wall * 1e6 / measured);
-  json += buf;
-  json += "\"profile\":";
-  json += caqr::prof::to_json();
+  w.key("shape").begin_object().field("rows", m).field("cols", n);
+  w.field("dtype", "float").end_object().field("mode", "ModelOnly");
+  w.field("workers", workers).field("warmup_requests", warmup);
+  w.field("measured_requests", measured).field("wall_seconds", wall);
+  w.key("per_request").begin_object();
+  w.field("allocations", static_cast<double>(allocs) / measured);
+  w.field("allocated_bytes", static_cast<double>(alloc_bytes) / measured);
+  w.field("host_us", wall * 1e6 / measured).end_object();
+  w.key("profile").raw(caqr::prof::to_json());
   // Pre-arena baseline for the same window shape (4 workers, plan cache
   // on), measured on the seed revision with a malloc-interposer shim as the
   // marginal allocation count between --problems 64 and --problems 256
   // runs of a single-config table; wall numbers are the seed bench's own
   // 1/4/8-worker cache-on rows from the same host.
-  json +=
-      ",\"seed_baseline\":{\"per_request\":{\"allocations\":2424,"
-      "\"allocated_bytes\":809612},"
-      "\"wall_problems_per_sec\":{\"w1\":1952.4,\"w4\":1839.2,\"w8\":1731.0},"
-      "\"method\":\"malloc interposer, marginal over 192 extra requests\"}";
-  json += "}";
-  return json;
+  w.key("seed_baseline").begin_object().key("per_request").begin_object();
+  w.field("allocations", 2424).field("allocated_bytes", 809612).end_object();
+  w.key("wall_problems_per_sec").begin_object().field("w1", 1952.4);
+  w.field("w4", 1839.2).field("w8", 1731.0).end_object();
+  w.field("method", "malloc interposer, marginal over 192 extra requests");
+  w.end_object();
 }
 
 }  // namespace
@@ -270,60 +261,37 @@ int main(int argc, char** argv) {
       sim_scaling_8v1, wall_scaling_4v1, wall_scaling_8v4, cache_gain,
       batch_gain, wall_batch_gain);
 
-  std::string json = "{\"shape\":{";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "\"rows\":%lld,\"cols\":%lld,\"dtype\":\"float\"},"
-                "\"problems\":%d,\"mode\":\"ModelOnly\",\"results\":[",
-                static_cast<long long>(m), static_cast<long long>(n),
-                problems);
-  json += buf;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"workers\":%d,\"batch\":%d,\"plan_cache\":%s,"
-        "\"sim_makespan_seconds\":%.6e,\"sim_problems_per_sec\":%.3f,"
-        "\"sim_seconds_per_problem\":%.6e,"
-        "\"wall_seconds\":%.4f,\"wall_problems_per_sec\":%.1f,"
-        "\"plan_hits\":%lld,\"plan_misses\":%lld,\"fused_launches\":%lld}",
-        i ? "," : "", c.workers, c.batch, c.cache ? "true" : "false",
-        c.sim_makespan, c.sim_pps(), c.sim_per_problem(), c.wall,
-        c.wall_pps(), c.hits, c.misses,
-        static_cast<long long>(c.fused_launches));
-    json += buf;
+  json::Writer w = bench::begin_artifact();
+  w.key("shape").begin_object().field("rows", m).field("cols", n);
+  w.field("dtype", "float").end_object().field("problems", problems);
+  w.field("mode", "ModelOnly").key("results").begin_array();
+  for (const Cell& c : cells) {
+    w.begin_object().field("workers", c.workers).field("batch", c.batch);
+    w.field("plan_cache", c.cache);
+    w.field("sim_makespan_seconds", c.sim_makespan);
+    w.field("sim_problems_per_sec", c.sim_pps());
+    w.field("sim_seconds_per_problem", c.sim_per_problem());
+    w.field("wall_seconds", c.wall);
+    w.field("wall_problems_per_sec", c.wall_pps());
+    w.field("plan_hits", c.hits).field("plan_misses", c.misses);
+    w.field("fused_launches", c.fused_launches).end_object();
   }
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  std::snprintf(buf, sizeof(buf),
-                "],\"acceptance\":{\"sim_scaling_8_vs_1_workers\":%.3f,"
-                "\"wall_scaling_4_vs_1_workers\":%.3f,"
-                "\"wall_scaling_8_vs_4_workers\":%.3f,"
-                "\"plan_cache_on_vs_off\":%.3f,"
-                "\"batch8_vs_unbatched\":%.3f,"
-                "\"wall_batch4_vs_unbatched\":%.3f,"
-                "\"hardware_threads\":%u,"
-                "\"wall_gate_enforced\":%s}}",
-                sim_scaling_8v1, wall_scaling_4v1, wall_scaling_8v4,
-                cache_gain, batch_gain, wall_batch_gain, hw_threads,
-                hw_threads >= 4 ? "true" : "false");
-  json += buf;
-
-  const char* json_path = "BENCH_serve_throughput.json";
-  if (std::FILE* jf = std::fopen(json_path, "w")) {
-    std::fputs(json.c_str(), jf);
-    std::fclose(jf);
-    std::printf("\nWrote %s\n", json_path);
-  }
+  w.end_array().key("acceptance").begin_object();
+  w.field("sim_scaling_8_vs_1_workers", sim_scaling_8v1);
+  w.field("wall_scaling_4_vs_1_workers", wall_scaling_4v1);
+  w.field("wall_scaling_8_vs_4_workers", wall_scaling_8v4);
+  w.field("plan_cache_on_vs_off", cache_gain);
+  w.field("batch8_vs_unbatched", batch_gain);
+  w.field("wall_batch4_vs_unbatched", wall_batch_gain);
+  w.field("hardware_threads", hw_threads);
+  w.field("wall_gate_enforced", hw_threads >= 4).end_object();
+  bench::write_artifact("BENCH_serve_throughput.json", w);
 
   // Steady-state host profile window at the acceptance worker count.
-  const std::string profile_json =
-      run_profile_window(m, n, 4, /*warmup=*/8, quick ? 16 : 64);
-  const char* prof_path = "BENCH_serve_profile.json";
-  if (std::FILE* pf = std::fopen(prof_path, "w")) {
-    std::fputs(profile_json.c_str(), pf);
-    std::fclose(pf);
-    std::printf("Wrote %s\n", prof_path);
-  }
+  json::Writer pw = bench::begin_artifact();
+  run_profile_window(pw, m, n, 4, /*warmup=*/8, quick ? 16 : 64);
+  bench::write_artifact("BENCH_serve_profile.json", pw);
 
   // Wall scaling at 4 workers below 1.0 means adding workers LOSES wall
   // throughput — the regression this bench exists to catch. Only enforce

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_artifact.hpp"
 #include "common/cli.hpp"
 #include "common/profile.hpp"
 #include "gpusim/device.hpp"
@@ -43,12 +44,6 @@
 namespace {
 
 using namespace caqr;
-
-std::string json_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6e", v);
-  return buf;
-}
 
 // ------------------------------------------------- study 1: update cost
 
@@ -289,62 +284,40 @@ int main(int argc, char** argv) {
   const bool speedup_ok = up.speedup >= 5.0;
   const bool pass = speedup_ok && sv.sustained && migration_ok;
 
-  std::string json = "{\"mode\":\"";
-  json += quick ? "quick" : "full";
-  json += "\",\"model\":\"a100\",\"update\":{";
-  json += "\"window_rows\":" + std::to_string(up.window_rows) +
-          ",\"cols\":" + std::to_string(up.cols) +
-          ",\"frames\":" + std::to_string(up.frames) +
-          ",\"amortized_seconds\":" + json_num(up.amortized_seconds) +
-          ",\"refactor_seconds\":" + json_num(up.refactor_seconds) +
-          ",\"speedup\":" + json_num(up.speedup) +
-          ",\"factors\":" + std::to_string(up.factors) +
-          ",\"combines\":" + std::to_string(up.combines) +
-          ",\"flips\":" + std::to_string(up.flips) + "}";
-  json += ",\"serve\":{\"streams\":" + std::to_string(sv.streams) +
-          ",\"workers\":" + std::to_string(sv.workers) +
-          ",\"rounds\":" + std::to_string(sv.rounds) +
-          ",\"fps\":" + json_num(sv.fps) +
-          ",\"done\":" + std::to_string(sv.done) +
-          ",\"expired\":" + std::to_string(sv.expired) +
-          ",\"shed\":" + std::to_string(sv.shed) +
-          ",\"rejected\":" + std::to_string(sv.rejected) +
-          ",\"max_frame_sim_seconds\":" + json_num(sv.max_frame_sim_seconds) +
-          ",\"worst_device_round_seconds\":" +
-          json_num(sv.worst_device_round_seconds) +
-          ",\"starved_rounds\":" + std::to_string(sv.starved_rounds) +
-          ",\"sustained\":" + (sv.sustained ? "true" : "false") +
-          ",\"per_stream\":[";
-  for (std::size_t i = 0; i < sv.per_stream.size(); ++i) {
-    const StreamRow& r = sv.per_stream[i];
-    json += i ? "," : "";
-    json += "{\"id\":" + std::to_string(r.id) +
-            ",\"weight\":" + json_num(r.weight) +
-            ",\"frames\":" + std::to_string(r.frames) +
-            ",\"p50_ns\":" + json_num(r.p50_ns) +
-            ",\"p95_ns\":" + json_num(r.p95_ns) +
-            ",\"p99_ns\":" + json_num(r.p99_ns) +
-            ",\"sim_seconds\":" + json_num(r.sim_seconds) +
-            ",\"starved\":" + std::to_string(r.starved) + "}";
+  json::Writer w = bench::begin_artifact();
+  w.field("mode", quick ? "quick" : "full").field("model", "a100");
+  w.key("update").begin_object().field("window_rows", up.window_rows);
+  w.field("cols", up.cols).field("frames", up.frames);
+  w.field("amortized_seconds", up.amortized_seconds);
+  w.field("refactor_seconds", up.refactor_seconds);
+  w.field("speedup", up.speedup).field("factors", up.factors);
+  w.field("combines", up.combines).field("flips", up.flips).end_object();
+  w.key("serve").begin_object().field("streams", sv.streams);
+  w.field("workers", sv.workers).field("rounds", sv.rounds);
+  w.field("fps", sv.fps).field("done", sv.done).field("expired", sv.expired);
+  w.field("shed", sv.shed).field("rejected", sv.rejected);
+  w.field("max_frame_sim_seconds", sv.max_frame_sim_seconds);
+  w.field("worst_device_round_seconds", sv.worst_device_round_seconds);
+  w.field("starved_rounds", sv.starved_rounds);
+  w.field("sustained", sv.sustained).key("per_stream").begin_array();
+  for (const StreamRow& r : sv.per_stream) {
+    w.begin_object().field("id", r.id).field("weight", r.weight);
+    w.field("frames", r.frames).field("p50_ns", r.p50_ns);
+    w.field("p95_ns", r.p95_ns).field("p99_ns", r.p99_ns);
+    w.field("sim_seconds", r.sim_seconds).field("starved", r.starved);
+    w.end_object();
   }
-  json += "]}";
-  json += ",\"migration\":{\"bit_identical\":";
-  json += migration_ok ? "true" : "false";
-  json += "}";
-  json += ",\"acceptance\":{\"update_speedup_min\":5.0";
-  json += ",\"update_speedup\":" + json_num(up.speedup) +
-          ",\"update_speedup_ok\":" + (speedup_ok ? "true" : "false") +
-          ",\"streams_required\":" + std::to_string(streams) +
-          ",\"streams_sustained\":" + (sv.sustained ? "true" : "false") +
-          ",\"migration_bit_identical\":" + (migration_ok ? "true" : "false") +
-          ",\"pass\":" + (pass ? "true" : "false") + "}}";
-
-  const char* json_path = "BENCH_stream_serve.json";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("Wrote %s\n", json_path);
-  }
+  w.end_array().end_object();
+  w.key("migration").begin_object();
+  w.field("bit_identical", migration_ok).end_object();
+  w.key("acceptance").begin_object().field("update_speedup_min", 5.0);
+  w.field("update_speedup", up.speedup);
+  w.field("update_speedup_ok", speedup_ok);
+  w.field("streams_required", streams);
+  w.field("streams_sustained", sv.sustained);
+  w.field("migration_bit_identical", migration_ok);
+  w.field("pass", pass).end_object();
+  bench::write_artifact("BENCH_stream_serve.json", w);
 
   std::printf("update %.1fx %s, %d streams %s, migration %s\n%s\n",
               up.speedup, speedup_ok ? "pass" : "FAIL", streams,

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "baselines/qr_baselines.hpp"
+#include "bench_artifact.hpp"
 #include "caqr/caqr.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -41,8 +42,11 @@ std::string verification_other_data() {
               "residual %.2e, orthogonality %.2e — %s\n",
               static_cast<long long>(vm), static_cast<long long>(vn),
               rep.residual, rep.orthogonality, rep.pass ? "pass" : "FAIL");
-  return "{\"verification\":[" +
-         numerics::verify_json_object(rep, "caqr_2048x64_f32_cond1e4") + "]}";
+  json::Writer w;
+  w.begin_object().key("verification").begin_array();
+  w.raw(numerics::verify_json_object(rep, "caqr_2048x64_f32_cond1e4"));
+  w.end_array().end_object();
+  return w.str();
 }
 
 struct Row {
@@ -144,11 +148,10 @@ int main(int argc, char** argv) {
                 "(%.1f%% saved by overlap)\n",
                 static_cast<long long>(n), t_serial * 1e3, t_look * 1e3,
                 100.0 * (t_serial - t_look) / t_serial);
-    const char* trace_path = "BENCH_table1_skinny_trace.json";
-    if (gpusim::write_trace_json(dlook, trace_path, verification_other_data(),
-                                 /*host_profile=*/true)) {
-      std::printf("Wrote look-ahead stream trace to %s\n", trace_path);
-    }
+    json::Writer w = bench::begin_artifact();
+    gpusim::write_trace(w, dlook, verification_other_data(),
+                        /*host_profile=*/true);
+    bench::write_artifact("BENCH_table1_skinny_trace.json", w);
   }
   return 0;
 }

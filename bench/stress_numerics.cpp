@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_artifact.hpp"
 #include "caqr/caqr.hpp"
 #include "common/cli.hpp"
 #include "gpusim/device.hpp"
@@ -123,16 +124,11 @@ int main(int argc, char** argv) {
           numerics::run_recover_dist(rspec, rdev);
       numerics::print_recover(rsum);
 
-      const char* json_path = "BENCH_stress_numerics_recover_dist.json";
-      const std::string json =
-          "{\"devices\":" + std::to_string(rdev) +
-          ",\"recover\":" + numerics::recover_json(rsum) +
-          ",\"total_faults\":" + std::to_string(rsum.total_faults) + "}";
-      if (std::FILE* f = std::fopen(json_path, "w")) {
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("\nWrote %s\n", json_path);
-      }
+      json::Writer w = bench::begin_artifact();
+      w.field("devices", rdev).key("recover");
+      w.raw(numerics::recover_json(rsum));
+      w.field("total_faults", rsum.total_faults);
+      bench::write_artifact("BENCH_stress_numerics_recover_dist.json", w);
       const bool ok = rsum.pass() && rsum.total_faults > 0;
       std::printf("%s\n", ok ? "DIST RECOVER PASS" : "DIST RECOVER FAIL");
       return ok ? 0 : 1;
@@ -147,15 +143,10 @@ int main(int argc, char** argv) {
     const numerics::RecoverSummary rsum = numerics::run_recover(rspec);
     numerics::print_recover(rsum);
 
-    const char* json_path = "BENCH_stress_numerics_recover.json";
-    const std::string json = "{\"recover\":" + numerics::recover_json(rsum) +
-                             ",\"total_faults\":" +
-                             std::to_string(rsum.total_faults) + "}";
-    if (std::FILE* f = std::fopen(json_path, "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("\nWrote %s\n", json_path);
-    }
+    json::Writer w = bench::begin_artifact();
+    w.key("recover").raw(numerics::recover_json(rsum));
+    w.field("total_faults", rsum.total_faults);
+    bench::write_artifact("BENCH_stress_numerics_recover.json", w);
     // The sweep is vacuous if the injector never fired.
     const bool ok = rsum.pass() && rsum.total_faults > 0;
     std::printf("%s\n", ok ? "RECOVER PASS" : "RECOVER FAIL");
@@ -193,15 +184,10 @@ int main(int argc, char** argv) {
         numerics::run_stress_dist(spec, devices, nodes);
     numerics::print_stress(dsum);
 
-    const char* json_path = "BENCH_stress_numerics_dist.json";
-    const std::string json = "{\"devices\":" + std::to_string(devices) +
-                             ",\"nodes\":" + std::to_string(nodes) +
-                             ",\"stress\":" + numerics::stress_json(dsum) + "}";
-    if (std::FILE* f = std::fopen(json_path, "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("\nWrote %s\n", json_path);
-    }
+    json::Writer w = bench::begin_artifact();
+    w.field("devices", devices).field("nodes", nodes);
+    w.key("stress").raw(numerics::stress_json(dsum));
+    bench::write_artifact("BENCH_stress_numerics_dist.json", w);
     const bool ok = dsum.pass();
     std::printf("%s\n", ok ? "DIST STRESS PASS" : "DIST STRESS FAIL");
     return ok ? 0 : 1;
@@ -220,15 +206,10 @@ int main(int argc, char** argv) {
   const int detected = fault_demo(spec.rows, spec.cols, fault_p, 5);
   std::printf("  verifier flagged %d of 5 corrupted runs\n", detected);
 
-  const char* json_path = "BENCH_stress_numerics_verify.json";
-  const std::string json =
-      "{\"stress\":" + numerics::stress_json(summary) +
-      ",\"fault_detected_runs\":" + std::to_string(detected) + "}";
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nWrote %s\n", json_path);
-  }
+  json::Writer w = bench::begin_artifact();
+  w.key("stress").raw(numerics::stress_json(summary));
+  w.field("fault_detected_runs", detected);
+  bench::write_artifact("BENCH_stress_numerics_verify.json", w);
 
   const bool ok = summary.pass() && detected >= 1;
   std::printf("%s\n", ok ? "STRESS PASS" : "STRESS FAIL");

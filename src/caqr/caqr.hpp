@@ -95,6 +95,80 @@ struct CaqrOptions {
   }
 };
 
+namespace detail {
+
+// Checkpoint sections of one panel factor under the prefix `pre`: shape,
+// block offsets, level-0 taus, then per tree level the group structure and
+// taus. Shared by the single-device and the grid (dist/grid_ft.hpp)
+// checkpoints.
+template <typename T>
+void write_panel_factor(ft::CheckpointWriter& w, const std::string& pre,
+                        const tsqr::PanelFactor<T>& pf) {
+  w.scalar(pre + "rows", static_cast<std::int64_t>(pf.rows));
+  w.scalar(pre + "width", static_cast<std::int64_t>(pf.width));
+  w.vec(pre + "offsets", pf.offsets());
+  w.vec(pre + "taus0", pf.taus0);
+  w.scalar(pre + "nlevels", static_cast<std::int64_t>(pf.num_levels()));
+  for (idx l = 0; l < pf.num_levels(); ++l) {
+    const auto& groups = pf.level_groups(l);
+    const std::string lpre = pre + "l" + std::to_string(l) + ".";
+    std::vector<idx> gsizes;
+    for (idx g = 0; g < groups.size(); ++g) {
+      gsizes.push_back(groups.group_size(g));
+    }
+    w.vec(lpre + "gsizes", gsizes);
+    w.vec(lpre + "gdata", groups.data);
+    w.vec(lpre + "taus", pf.taus[static_cast<std::size_t>(l)]);
+  }
+}
+
+// Reads the panel factor at `pre` for a (rows, width) panel factored under
+// `topt`. A valid checksum proves the file is intact, not that it was
+// written for this run, and the kernels index storage by a panel's shape
+// and replay structure unchecked. So the panel must be exactly what
+// tsqr::replay_meta produces, with tau lengths to match; the shared meta is
+// then reused, not rebuilt from the file. The caller checks that the panel
+// shape itself is one its factorization can have.
+template <typename T>
+bool read_panel_factor(const ft::CheckpointReader& r, const std::string& pre,
+                       idx rows, idx width, const tsqr::TsqrOptions& topt,
+                       tsqr::PanelFactor<T>& pf) {
+  pf.rows = rows;
+  pf.width = width;
+  pf.meta = tsqr::replay_meta(rows, width, topt);
+  std::int64_t prows = 0, pwidth = 0, nlev = 0;
+  std::vector<idx> offsets;
+  if (!r.scalar(pre + "rows", prows) || prows != pf.rows ||
+      !r.scalar(pre + "width", pwidth) || pwidth != pf.width ||
+      !r.scalar(pre + "nlevels", nlev) || nlev != pf.num_levels() ||
+      !r.vec(pre + "offsets", offsets) || offsets != pf.offsets() ||
+      !r.vec(pre + "taus0", pf.taus0) ||
+      pf.taus0.size() != static_cast<std::size_t>(pf.num_blocks() * width)) {
+    return false;
+  }
+  for (idx l = 0; l < pf.num_levels(); ++l) {
+    const GroupList& groups = pf.level_groups(l);
+    const std::string lpre = pre + "l" + std::to_string(l) + ".";
+    std::vector<idx> gsizes, gdata;
+    std::vector<T> taus;
+    if (!r.vec(lpre + "gsizes", gsizes) || !r.vec(lpre + "gdata", gdata) ||
+        !r.vec(lpre + "taus", taus) || gdata != groups.data ||
+        gsizes.size() != static_cast<std::size_t>(groups.size()) ||
+        taus.size() != static_cast<std::size_t>(groups.size() * width)) {
+      return false;
+    }
+    for (idx g = 0; g < groups.size(); ++g) {
+      if (gsizes[static_cast<std::size_t>(g)] != groups.group_size(g)) {
+        return false;
+      }
+    }
+    pf.taus.push_back(std::move(taus));
+  }
+  return true;
+}
+
+}  // namespace detail
+
 template <typename T>
 class CaqrFactorization {
  public:
@@ -347,24 +421,8 @@ class CaqrFactorization {
     w.scalar("done", static_cast<std::int64_t>(done));
     w.matrix("a", a_.view());
     for (idx p = 0; p < done; ++p) {
-      const auto& pf = panels_[static_cast<std::size_t>(p)];
-      const std::string pre = "p" + std::to_string(p) + ".";
-      w.scalar(pre + "rows", static_cast<std::int64_t>(pf.rows));
-      w.scalar(pre + "width", static_cast<std::int64_t>(pf.width));
-      w.vec(pre + "offsets", pf.offsets());
-      w.vec(pre + "taus0", pf.taus0);
-      w.scalar(pre + "nlevels", static_cast<std::int64_t>(pf.num_levels()));
-      for (idx l = 0; l < pf.num_levels(); ++l) {
-        const auto& groups = pf.level_groups(l);
-        const std::string lpre = pre + "l" + std::to_string(l) + ".";
-        std::vector<idx> gsizes;
-        for (idx g = 0; g < groups.size(); ++g) {
-          gsizes.push_back(groups.group_size(g));
-        }
-        w.vec(lpre + "gsizes", gsizes);
-        w.vec(lpre + "gdata", groups.data);
-        w.vec(lpre + "taus", pf.taus[static_cast<std::size_t>(l)]);
-      }
+      detail::write_panel_factor(w, "p" + std::to_string(p) + ".",
+                                 panels_[static_cast<std::size_t>(p)]);
     }
     w.write(opt_.checkpoint_path);
   }
@@ -390,52 +448,17 @@ class CaqrFactorization {
         a.cols() != a_.cols()) {
       return 0;
     }
-    // A valid checksum proves the file is intact, not that it was written
-    // for this run, and the kernels index storage by a panel's shape and
-    // replay structure unchecked. So every panel must be exactly what this
-    // run's panel loop and tsqr::replay_meta produce, with tau lengths to
-    // match; the shared meta is then reused, not rebuilt from the file.
     const tsqr::TsqrOptions topt = opt_.panel_tsqr();
     const idx kmax = std::min(a_.rows(), a_.cols());
-    std::vector<tsqr::PanelFactor<T>> panels;
+    std::vector<tsqr::PanelFactor<T>> panels(static_cast<std::size_t>(done));
     for (std::int64_t p = 0; p < done; ++p) {
-      tsqr::PanelFactor<T> pf;
       const idx c0 = static_cast<idx>(p) * opt_.panel_width;
-      pf.rows = a_.rows() - c0;
-      pf.width = std::min(opt_.panel_width, kmax - c0);
-      pf.meta = tsqr::replay_meta(pf.rows, pf.width, topt);
-      const std::string pre = "p" + std::to_string(p) + ".";
-      std::int64_t prows = 0, pwidth = 0, nlev = 0;
-      std::vector<idx> offsets;
-      if (!r->scalar(pre + "rows", prows) || prows != pf.rows ||
-          !r->scalar(pre + "width", pwidth) || pwidth != pf.width ||
-          !r->scalar(pre + "nlevels", nlev) || nlev != pf.num_levels() ||
-          !r->vec(pre + "offsets", offsets) || offsets != pf.offsets() ||
-          !r->vec(pre + "taus0", pf.taus0) ||
-          pf.taus0.size() !=
-              static_cast<std::size_t>(pf.num_blocks() * pf.width)) {
+      if (!detail::read_panel_factor(
+              *r, "p" + std::to_string(p) + ".", a_.rows() - c0,
+              std::min(opt_.panel_width, kmax - c0), topt,
+              panels[static_cast<std::size_t>(p)])) {
         return 0;
       }
-      for (idx l = 0; l < pf.num_levels(); ++l) {
-        const GroupList& groups = pf.level_groups(l);
-        const std::string lpre = pre + "l" + std::to_string(l) + ".";
-        std::vector<idx> gsizes, gdata;
-        std::vector<T> taus;
-        if (!r->vec(lpre + "gsizes", gsizes) ||
-            !r->vec(lpre + "gdata", gdata) || !r->vec(lpre + "taus", taus) ||
-            gdata != groups.data ||
-            gsizes.size() != static_cast<std::size_t>(groups.size()) ||
-            taus.size() != static_cast<std::size_t>(groups.size() * pf.width)) {
-          return 0;
-        }
-        for (idx g = 0; g < groups.size(); ++g) {
-          if (gsizes[static_cast<std::size_t>(g)] != groups.group_size(g)) {
-            return 0;
-          }
-        }
-        pf.taus.push_back(std::move(taus));
-      }
-      panels.push_back(std::move(pf));
     }
     a_ = std::move(a);
     panels_ = std::move(panels);

@@ -13,10 +13,11 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string_view>
+
+#include "common/json.hpp"
 
 namespace caqr::prof {
 
@@ -197,32 +198,24 @@ long long free_count() {
 }
 
 std::string to_json() {
-  std::string json = "{\"counters\":{";
-  char buf[256];
-  const auto rows = snapshot();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"count\":%lld,\"value\":%lld}", i ? "," : "",
-                  rows[i].name.c_str(), rows[i].count, rows[i].value);
-    json += buf;
+  json::Writer w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& c : snapshot()) {
+    w.key(c.name).begin_object();
+    w.field("count", c.count).field("value", c.value).end_object();
   }
-  json += "},\"histograms\":{";
-  const auto hists = histogram_snapshot();
-  for (std::size_t i = 0; i < hists.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"count\":%lld,\"mean_ns\":%.1f,\"p50_ns\":%.1f,"
-                  "\"p95_ns\":%.1f,\"p99_ns\":%.1f}",
-                  i ? "," : "", hists[i].name.c_str(), hists[i].count,
-                  hists[i].mean_ns, hists[i].p50_ns, hists[i].p95_ns,
-                  hists[i].p99_ns);
-    json += buf;
+  w.end_object().key("histograms").begin_object();
+  for (const auto& h : histogram_snapshot()) {
+    w.key(h.name).begin_object();
+    w.field("count", h.count).field("mean_ns", h.mean_ns);
+    w.field("p50_ns", h.p50_ns).field("p95_ns", h.p95_ns);
+    w.field("p99_ns", h.p99_ns).end_object();
   }
-  std::snprintf(buf, sizeof(buf),
-                "},\"allocations\":{\"count\":%lld,\"bytes\":%lld,"
-                "\"frees\":%lld}}",
-                allocation_count(), allocation_bytes(), free_count());
-  json += buf;
-  return json;
+  w.end_object().key("allocations").begin_object();
+  w.field("count", allocation_count()).field("bytes", allocation_bytes());
+  w.field("frees", free_count()).end_object();
+  w.end_object();
+  return w.str();
 }
 
 namespace detail {

@@ -53,12 +53,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "dist/interconnect.hpp"
 #include "ft/ft.hpp"
 #include "gpusim/device.hpp"
@@ -200,6 +202,7 @@ class DeviceGrid {
   }
 
   int size() const { return static_cast<int>(devices_.size()); }
+  std::span<const gpusim::Device> devices() const { return devices_; }
   gpusim::ExecMode mode() const { return mode_; }
   gpusim::Device& device(int d) {
     CAQR_CHECK(d >= 0 && d < size());
@@ -528,78 +531,41 @@ class DeviceGrid {
   long long transfer_ordinal_ = 0;
 };
 
-// JSON object of the grid's comm + recovery counters (embedded in
-// grid_trace_json so a chrome trace carries the recovery-traffic summary).
-inline std::string comm_stats_json(const CommStats& s) {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"transfers\":%lld,\"bytes\":%.17g,\"seconds\":%.17g,"
-      "\"intra_transfers\":%lld,\"inter_transfers\":%lld,"
-      "\"intra_bytes\":%.17g,\"inter_bytes\":%.17g,"
-      "\"intra_seconds\":%.17g,\"inter_seconds\":%.17g,"
-      "\"retried_transfers\":%lld,\"failed_transfers\":%lld,"
-      "\"checksum_mismatches\":%lld,\"injected_drops\":%lld,"
-      "\"injected_flips\":%lld,\"rendezvous_timeouts\":%lld}",
-      s.transfers, s.bytes, s.seconds, s.intra_transfers, s.inter_transfers,
-      s.intra_bytes, s.inter_bytes, s.intra_seconds, s.inter_seconds,
-      s.retried_transfers, s.failed_transfers, s.checksum_mismatches,
-      s.injected_drops, s.injected_flips, s.rendezvous_timeouts);
-  return buf;
+// The members of the grid's chrome-trace document: one process ("pid") per
+// device, tid = that device's stream ids (gpusim::write_trace_events) — load
+// in chrome://tracing / ui.perfetto.dev to see per-device overlap and the
+// link transfers on both endpoints (retry and backoff ops included, so
+// recovery traffic is visible). The grid's comm/recovery counters are
+// always embedded as "commStats"; `other_data` follows the same contract as
+// gpusim::write_trace.
+inline void write_grid_trace(json::Writer& w, const DeviceGrid& grid,
+                             const std::string& other_data = "") {
+  gpusim::write_trace_events(w, grid.devices());
+  const CommStats& s = grid.comm_stats();
+  w.key("commStats").begin_object();
+  w.field("transfers", s.transfers).field("bytes", s.bytes);
+  w.field("seconds", s.seconds).field("intra_transfers", s.intra_transfers);
+  w.field("inter_transfers", s.inter_transfers);
+  w.field("intra_bytes", s.intra_bytes).field("inter_bytes", s.inter_bytes);
+  w.field("intra_seconds", s.intra_seconds);
+  w.field("inter_seconds", s.inter_seconds);
+  w.field("retried_transfers", s.retried_transfers);
+  w.field("failed_transfers", s.failed_transfers);
+  w.field("checksum_mismatches", s.checksum_mismatches);
+  w.field("injected_drops", s.injected_drops);
+  w.field("injected_flips", s.injected_flips);
+  w.field("rendezvous_timeouts", s.rendezvous_timeouts).end_object();
+  if (!other_data.empty()) w.key("otherData").raw(other_data);
 }
 
-// Combined chrome-trace export: one process ("pid") per device, tid = that
-// device's stream ids — load in chrome://tracing / ui.perfetto.dev to see
-// per-device overlap and the link transfers on both endpoints (retry and
-// backoff ops included, so recovery traffic is visible). `other_data`
-// follows the same contract as gpusim::trace_json; the grid's comm/recovery
-// counters are always embedded as "commStats".
+// The grid's trace as one JSON document (see write_grid_trace).
 inline std::string grid_trace_json(const DeviceGrid& grid,
                                    const std::string& other_data = "") {
-  auto escaped = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  };
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (int d = 0; d < grid.size(); ++d) {
-    for (const auto& e : grid.device(d).trace()) {
-      char buf[320];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"name\":\"%s\",\"cat\":\"kernel\",\"ph\":\"X\","
-                    "\"pid\":%d,\"tid\":%d,\"ts\":%.6f,\"dur\":%.6f,"
-                    "\"args\":{\"blocks\":%lld,\"flops\":%.17g,"
-                    "\"gmem_bytes\":%.17g}}",
-                    first ? "" : ",", escaped(e.name).c_str(), d, e.stream,
-                    e.t_start * 1e6, (e.t_end - e.t_start) * 1e6, e.blocks,
-                    e.flops, e.gmem_bytes);
-      out += buf;
-      first = false;
-    }
-  }
-  out += "],\"commStats\":";
-  out += comm_stats_json(grid.comm_stats());
-  if (!other_data.empty()) {
-    out += ",\"otherData\":";
-    out += other_data;
-  }
-  out += "}";
-  return out;
-}
-
-inline bool write_grid_trace_json(const DeviceGrid& grid,
-                                  const std::string& path,
-                                  const std::string& other_data = "") {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = grid_trace_json(grid, other_data);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  json::Writer w;
+  w.begin_object();
+  write_grid_trace(w, grid, other_data);
+  w.end_object();
+  return w.str();
 }
 
 }  // namespace caqr::dist

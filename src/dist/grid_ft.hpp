@@ -42,6 +42,7 @@
 // between the snapshot and the loss, which the attempt loop leaves on the
 // clocks (bench/bench_dist_recovery.cpp measures exactly that).
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -104,69 +105,6 @@ inline void coarsen_partition(std::vector<idx>& offsets, int max_shards) {
 
 namespace detail {
 
-// PanelFactor serialization, byte-compatible with the single-device CAQR
-// checkpoint layout (caqr/caqr.hpp): shape, panel-row offsets, level-0 taus,
-// then per tree level the group structure + taus.
-template <typename T>
-void write_panel_factor(ft::CheckpointWriter& w, const std::string& pre,
-                        const tsqr::PanelFactor<T>& pf) {
-  w.scalar(pre + "rows", static_cast<std::int64_t>(pf.rows));
-  w.scalar(pre + "width", static_cast<std::int64_t>(pf.width));
-  w.vec(pre + "offsets", pf.offsets());
-  w.vec(pre + "taus0", pf.taus0);
-  w.scalar(pre + "nlevels", static_cast<std::int64_t>(pf.num_levels()));
-  for (idx l = 0; l < pf.num_levels(); ++l) {
-    const auto& groups = pf.level_groups(l);
-    const std::string lpre = pre + "l" + std::to_string(l) + ".";
-    std::vector<idx> gsizes;
-    for (idx g = 0; g < groups.size(); ++g) {
-      gsizes.push_back(groups.group_size(g));
-    }
-    w.vec(lpre + "gsizes", gsizes);
-    w.vec(lpre + "gdata", groups.data);
-    w.vec(lpre + "taus", pf.taus[static_cast<std::size_t>(l)]);
-  }
-}
-
-template <typename T>
-bool read_panel_factor(const ft::CheckpointReader& r, const std::string& pre,
-                       tsqr::PanelFactor<T>& pf) {
-  std::int64_t prows = 0, pwidth = 0, nlev = 0;
-  auto meta = std::make_shared<tsqr::ReplayMeta>();
-  if (!r.scalar(pre + "rows", prows) || !r.scalar(pre + "width", pwidth) ||
-      !r.scalar(pre + "nlevels", nlev) || nlev < 0 ||
-      !r.vec(pre + "offsets", meta->offsets) ||
-      !r.vec(pre + "taus0", pf.taus0)) {
-    return false;
-  }
-  pf.rows = static_cast<idx>(prows);
-  pf.width = static_cast<idx>(pwidth);
-  for (std::int64_t l = 0; l < nlev; ++l) {
-    GroupList groups;
-    std::vector<T> taus;
-    const std::string lpre = pre + "l" + std::to_string(l) + ".";
-    std::vector<idx> gsizes, gdata;
-    if (!r.vec(lpre + "gsizes", gsizes) || !r.vec(lpre + "gdata", gdata) ||
-        !r.vec(lpre + "taus", taus)) {
-      return false;
-    }
-    std::size_t pos = 0;
-    for (const idx gs : gsizes) {
-      if (gs < 0 || pos + static_cast<std::size_t>(gs) > gdata.size()) {
-        return false;
-      }
-      pos += static_cast<std::size_t>(gs);
-      groups.starts.push_back(static_cast<idx>(pos));
-    }
-    if (pos != gdata.size()) return false;
-    groups.data = std::move(gdata);
-    meta->levels.push_back(std::move(groups));
-    pf.taus.push_back(std::move(taus));
-  }
-  pf.meta = std::move(meta);
-  return true;
-}
-
 // Deep copy of recorded panels (Matrix is move-only by design; the snapshot
 // must not alias the live factorization's stages).
 template <typename T>
@@ -222,7 +160,7 @@ bool save_grid_checkpoint(const std::string& path, idx panel_width,
       const std::string spre = pre + "s" + std::to_string(s) + ".";
       w.scalar(spre + "grow0", static_cast<std::int64_t>(ls.grow0));
       w.scalar(spre + "height", static_cast<std::int64_t>(ls.height));
-      detail::write_panel_factor(w, spre, ls.f);
+      caqr::detail::write_panel_factor(w, spre, ls.f);
     }
     w.scalar(pre + "ncross", static_cast<std::int64_t>(rec.cross.size()));
     for (std::size_t l = 0; l < rec.cross.size(); ++l) {
@@ -241,40 +179,62 @@ bool save_grid_checkpoint(const std::string& path, idx panel_width,
   return w.write(path);
 }
 
-// Loads and validates a snapshot for the given problem shape. Any
-// validation failure — missing file, corrupt container, mismatched shape —
-// yields an invalid (clean-start) checkpoint, never garbage.
+// Loads and validates a snapshot for the given problem shape and options.
+// Any validation failure — missing file, corrupt container, mismatched
+// shape — yields an invalid (clean-start) checkpoint, never garbage. As in
+// CaqrFactorization::try_resume, a checksum-valid file is not trusted: every
+// shape the factorization indexes storage by must be one a run under `opt`
+// can record. Slices may come from a finer partition than the saved one
+// (shard merges only coarsen), so each must lie inside one saved shard.
 template <typename T>
 GridCheckpoint<T> load_grid_checkpoint(const std::string& path, idx rows,
-                                       idx cols, idx panel_width) {
+                                       idx cols, const DistCaqrOptions& opt) {
   GridCheckpoint<T> ck;
   const auto r = ft::CheckpointReader::load(path);
   if (!r) return ck;
+  const idx pw = opt.panel_width;
+  const idx kmax = std::min(rows, cols);
   std::int64_t frows = 0, fcols = 0, fpw = 0, fss = 0, done = 0;
   if (!r->scalar("rows", frows) || !r->scalar("cols", fcols) ||
       !r->scalar("panel_width", fpw) || !r->scalar("scalar_size", fss) ||
       !r->scalar("done", done)) {
     return ck;
   }
-  if (frows != rows || fcols != cols || fpw != panel_width ||
-      fss != static_cast<std::int64_t>(sizeof(T)) || done < 1) {
+  if (frows != rows || fcols != cols || fpw != pw ||
+      fss != static_cast<std::int64_t>(sizeof(T)) || done < 1 ||
+      done > (kmax + pw - 1) / pw) {
     return ck;
   }
   if (!r->vec("offsets", ck.offsets) || ck.offsets.size() < 2 ||
-      ck.offsets.front() != 0 || ck.offsets.back() != rows) {
+      ck.offsets.front() != 0 || ck.offsets.back() != rows ||
+      !std::all_of(ck.offsets.begin(), ck.offsets.end(),
+                   [&](idx o) { return o >= 0 && o <= rows; })) {
     return ck;
   }
   for (std::size_t i = 0; i + 1 < ck.offsets.size(); ++i) {
     if (ck.offsets[i + 1] - ck.offsets[i] < cols) return ck;
   }
-  if (!r->matrix("a", ck.working)) return ck;
+  if (!r->matrix("a", ck.working) || ck.working.rows() != rows ||
+      ck.working.cols() != cols) {
+    return ck;
+  }
+  auto inside_one_shard = [&](idx grow0, idx height) {
+    for (std::size_t i = 0; i + 1 < ck.offsets.size(); ++i) {
+      if (ck.offsets[i] <= grow0 && grow0 + height <= ck.offsets[i + 1]) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const tsqr::TsqrOptions topt = opt.panel_tsqr();
   for (std::int64_t p = 0; p < done; ++p) {
     typename DistCaqrFactorization<T>::PanelRecord rec;
     const std::string pre = "p" + std::to_string(p) + ".";
     std::int64_t c0 = 0, w = 0, nlocal = 0, ncross = 0;
     if (!r->scalar(pre + "c0", c0) || !r->scalar(pre + "w", w) ||
         !r->scalar(pre + "nlocal", nlocal) ||
-        !r->scalar(pre + "ncross", ncross) || nlocal < 1 || ncross < 0) {
+        !r->scalar(pre + "ncross", ncross) || c0 != p * pw ||
+        w != std::min(pw, kmax - c0) || nlocal < 1 || ncross < 0) {
       return GridCheckpoint<T>{};
     }
     rec.c0 = static_cast<idx>(c0);
@@ -284,14 +244,25 @@ GridCheckpoint<T> load_grid_checkpoint(const std::string& path, idx rows,
       const std::string spre = pre + "s" + std::to_string(s) + ".";
       std::int64_t grow0 = 0, height = 0;
       if (!r->scalar(spre + "grow0", grow0) ||
-          !r->scalar(spre + "height", height) ||
-          !detail::read_panel_factor(*r, spre, ls.f)) {
+          !r->scalar(spre + "height", height) || grow0 < c0 ||
+          grow0 >= rows || height < w || height > rows - grow0 ||
+          !inside_one_shard(grow0, height) ||
+          !caqr::detail::read_panel_factor(*r, spre, height, rec.w, topt,
+                                           ls.f)) {
         return GridCheckpoint<T>{};
       }
       ls.grow0 = static_cast<idx>(grow0);
       ls.height = static_cast<idx>(height);
       rec.local.push_back(std::move(ls));
     }
+    // Cross members are named by their slice's first row; the applies
+    // address [row, row + w) of each and the k*w x w stage.
+    auto is_slice_row = [&](idx row) {
+      for (const auto& ls : rec.local) {
+        if (ls.grow0 == row) return true;
+      }
+      return false;
+    };
     for (std::int64_t l = 0; l < ncross; ++l) {
       typename DistCaqrFactorization<T>::CrossLevel level;
       const std::string lpre = pre + "x" + std::to_string(l) + ".";
@@ -305,6 +276,14 @@ GridCheckpoint<T> load_grid_checkpoint(const std::string& path, idx rows,
         if (!r->vec(gpre + "member_rows", cg.member_rows) ||
             !r->matrix(gpre + "stage", cg.stage) ||
             !r->vec(gpre + "taus", cg.taus)) {
+          return GridCheckpoint<T>{};
+        }
+        const idx k = static_cast<idx>(cg.member_rows.size());
+        if (k < 2 || cg.stage.rows() != k * rec.w ||
+            cg.stage.cols() != rec.w ||
+            cg.taus.size() != static_cast<std::size_t>(rec.w) ||
+            !std::all_of(cg.member_rows.begin(), cg.member_rows.end(),
+                         is_slice_row)) {
           return GridCheckpoint<T>{};
         }
         level.groups.push_back(std::move(cg));
@@ -372,8 +351,7 @@ GridCaqrResult<T> factor_with_recovery(
 
   GridCheckpoint<T> snap;
   if (!ropt.checkpoint_path.empty()) {
-    snap = load_grid_checkpoint<T>(ropt.checkpoint_path, m, n,
-                                   base.panel_width);
+    snap = load_grid_checkpoint<T>(ropt.checkpoint_path, m, n, base);
   }
   // The working partition. A disk snapshot dictates it (coarsened to the
   // live-device count so its recorded row ranges stay contiguous — an

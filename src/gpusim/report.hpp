@@ -5,8 +5,10 @@
 // the resolved stream timeline as chrome://tracing JSON.
 
 #include <cstdio>
+#include <span>
 #include <string>
 
+#include "common/json.hpp"
 #include "common/profile.hpp"
 #include "common/table.hpp"
 #include "gpusim/device.hpp"
@@ -39,10 +41,30 @@ inline std::string profile_csv(const Device& dev) {
 
 inline void print_profile(const Device& dev) { profile_table(dev).print(); }
 
-// Chrome-trace ("chrome://tracing" / Perfetto) export of the device's
-// resolved stream timeline: one complete event ("ph":"X") per launch, with
-// tid = stream id and timestamps/durations in microseconds. Load the file
-// in chrome://tracing or ui.perfetto.dev to see the per-stream overlap.
+// Chrome-trace ("chrome://tracing" / Perfetto) export of resolved stream
+// timelines: the "displayTimeUnit" and "traceEvents" members of a trace
+// document, one complete event ("ph":"X") per launch with pid = the
+// device's index in `devices`, tid = stream id, and timestamps/durations in
+// microseconds. Load the file in chrome://tracing or ui.perfetto.dev to see
+// the per-stream overlap. A one-device trace is process 0; a grid trace
+// (dist::write_grid_trace) is one process per device.
+inline void write_trace_events(json::Writer& w,
+                               std::span<const Device> devices) {
+  w.field("displayTimeUnit", "ms").key("traceEvents").begin_array();
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    for (const auto& e : devices[d].trace()) {
+      w.begin_object().field("name", e.name).field("cat", "kernel");
+      w.field("ph", "X").field("pid", d).field("tid", e.stream);
+      w.field("ts", e.t_start * 1e6).field("dur", (e.t_end - e.t_start) * 1e6);
+      w.key("args").begin_object().field("blocks", e.blocks);
+      w.field("flops", e.flops).field("gmem_bytes", e.gmem_bytes);
+      w.end_object().end_object();
+    }
+  }
+  w.end_array();
+}
+
+// The members of `dev`'s trace document.
 //
 // `other_data`, when non-empty, must be a JSON value; it is embedded under
 // the trace-format "otherData" key (tooling ignores unknown top-level keys),
@@ -55,54 +77,23 @@ inline void print_profile(const Device& dev) { profile_table(dev).print(); }
 // trace of a simulated timeline also records the host cost of producing it.
 // Off by default: the snapshot is live data, so two calls would not be
 // byte-identical.
+inline void write_trace(json::Writer& w, const Device& dev,
+                        const std::string& other_data = "",
+                        bool host_profile = false) {
+  write_trace_events(w, {&dev, 1});
+  if (!other_data.empty()) w.key("otherData").raw(other_data);
+  if (host_profile) w.key("hostProfile").raw(prof::to_json());
+}
+
+// `dev`'s trace as one JSON document (see write_trace).
 inline std::string trace_json(const Device& dev,
                               const std::string& other_data = "",
                               bool host_profile = false) {
-  auto escaped = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  };
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const auto& e : dev.trace()) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"%s\",\"cat\":\"kernel\",\"ph\":\"X\","
-                  "\"pid\":0,\"tid\":%d,\"ts\":%.6f,\"dur\":%.6f,"
-                  "\"args\":{\"blocks\":%lld,\"flops\":%.17g,"
-                  "\"gmem_bytes\":%.17g}}",
-                  first ? "" : ",", escaped(e.name).c_str(), e.stream,
-                  e.t_start * 1e6, (e.t_end - e.t_start) * 1e6, e.blocks,
-                  e.flops, e.gmem_bytes);
-    out += buf;
-    first = false;
-  }
-  out += "]";
-  if (!other_data.empty()) {
-    out += ",\"otherData\":";
-    out += other_data;
-  }
-  if (host_profile) {
-    out += ",\"hostProfile\":";
-    out += prof::to_json();
-  }
-  out += "}";
-  return out;
-}
-
-inline bool write_trace_json(const Device& dev, const std::string& path,
-                             const std::string& other_data = "",
-                             bool host_profile = false) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = trace_json(dev, other_data, host_profile);
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  json::Writer w;
+  w.begin_object();
+  write_trace(w, dev, other_data, host_profile);
+  w.end_object();
+  return w.str();
 }
 
 }  // namespace caqr::gpusim

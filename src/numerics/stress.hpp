@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "caqr/caqr.hpp"
+#include "common/json.hpp"
 #include "dist/dist_caqr.hpp"
 #include "dist/grid_ft.hpp"
 #include "ft/ft.hpp"
@@ -576,29 +577,23 @@ inline void print_recover(const RecoverSummary& s, std::FILE* f = stdout) {
 
 // JSON array of per-run recover rows.
 inline std::string recover_json(const RecoverSummary& s) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < s.rows.size(); ++i) {
-    const auto& r = s.rows[i];
-    char head[512];
-    std::snprintf(head, sizeof(head),
-                  "{\"path\":\"%s\",\"fault\":\"%s\",\"cond\":%.3e,"
-                  "\"fault_seed\":%llu,\"faults_injected\":%zu,"
-                  "\"corrected_launches\":%lld,\"panel_retries\":%d,"
-                  "\"schedule_fallback\":%s,\"corrected_transfers\":%lld,"
-                  "\"transfer_retries\":%lld,\"device_losses\":%d,"
-                  "\"attempts\":%d,\"recovered\":%s,\"report\":",
-                  r.path.c_str(), r.fault.c_str(), r.cond,
-                  static_cast<unsigned long long>(r.fault_seed),
-                  r.faults_injected, r.corrected_launches, r.panel_retries,
-                  r.schedule_fallback ? "true" : "false",
-                  r.corrected_transfers, r.transfer_retries, r.device_losses,
-                  r.attempts, r.recovered ? "true" : "false");
-    out += head;
-    out += verify_json_object(r.report);
-    out += i + 1 < s.rows.size() ? "}," : "}";
+  json::Writer w;
+  w.begin_array();
+  for (const auto& r : s.rows) {
+    w.begin_object().field("path", r.path).field("fault", r.fault);
+    w.field("cond", r.cond).field("fault_seed", r.fault_seed);
+    w.field("faults_injected", r.faults_injected);
+    w.field("corrected_launches", r.corrected_launches);
+    w.field("panel_retries", r.panel_retries);
+    w.field("schedule_fallback", r.schedule_fallback);
+    w.field("corrected_transfers", r.corrected_transfers);
+    w.field("transfer_retries", r.transfer_retries);
+    w.field("device_losses", r.device_losses).field("attempts", r.attempts);
+    w.field("recovered", r.recovered);
+    w.key("report").raw(verify_json_object(r.report)).end_object();
   }
-  out += "]";
-  return out;
+  w.end_array();
+  return w.str();
 }
 
 inline void print_stress(const StressSummary& s, std::FILE* f = stdout) {
@@ -616,21 +611,15 @@ inline void print_stress(const StressSummary& s, std::FILE* f = stdout) {
 
 // JSON array of per-run rows (one object per StressRow).
 inline std::string stress_json(const StressSummary& s) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < s.rows.size(); ++i) {
-    const auto& r = s.rows[i];
-    char head[160];
-    std::snprintf(head, sizeof(head),
-                  "{\"path\":\"%s\",\"cond\":%.3e,\"col_scale\":%.3e,"
-                  "\"mixed\":%s,\"report\":",
-                  r.path.c_str(), r.cond, r.col_scale,
-                  r.mixed ? "true" : "false");
-    out += head;
-    out += verify_json_object(r.report);
-    out += i + 1 < s.rows.size() ? "}," : "}";
+  json::Writer w;
+  w.begin_array();
+  for (const auto& r : s.rows) {
+    w.begin_object().field("path", r.path).field("cond", r.cond);
+    w.field("col_scale", r.col_scale).field("mixed", r.mixed);
+    w.key("report").raw(verify_json_object(r.report)).end_object();
   }
-  out += "]";
-  return out;
+  w.end_array();
+  return w.str();
 }
 
 }  // namespace caqr::numerics

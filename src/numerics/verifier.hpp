@@ -24,11 +24,11 @@
 // when a naive did-it-return check would pass.
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/norms.hpp"
 #include "numerics/finite_check.hpp"
@@ -205,20 +205,18 @@ VerifyReport verify_r(const VA& a_in, const VR& r_in,
   return rep;
 }
 
-// JSON object fragment ({"residual":...}) for embedding a report into bench
-// artifacts (e.g. the "otherData" section of a chrome-trace file).
+// JSON object ({"residual":...}) for embedding a report into bench
+// artifacts (e.g. the "otherData" section of a chrome-trace file). A
+// non-finite metric is written as null.
 inline std::string verify_json_object(const VerifyReport& r,
                                       const std::string& label = "") {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "{%s%s%s\"residual\":%.6e,\"orthogonality\":%.6e,"
-                "\"gram_residual\":%.6e,\"tolerance\":%.6e,"
-                "\"finite\":%s,\"pass\":%s}",
-                label.empty() ? "" : "\"label\":\"", label.c_str(),
-                label.empty() ? "" : "\",", r.residual, r.orthogonality,
-                r.gram_residual, r.tolerance, r.finite ? "true" : "false",
-                r.pass ? "true" : "false");
-  return buf;
+  json::Writer w;
+  w.begin_object();
+  if (!label.empty()) w.field("label", label);
+  w.field("residual", r.residual).field("orthogonality", r.orthogonality);
+  w.field("gram_residual", r.gram_residual).field("tolerance", r.tolerance);
+  w.field("finite", r.finite).field("pass", r.pass).end_object();
+  return w.str();
 }
 
 }  // namespace caqr::numerics

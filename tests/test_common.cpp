@@ -1,4 +1,5 @@
-// Tests for the common substrate: thread pool, PRNG, stats, tables, CLI.
+// Tests for the common substrate: thread pool, PRNG, JSON writer, tables,
+// CLI.
 
 #include <gtest/gtest.h>
 
@@ -6,11 +7,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,9 +24,9 @@
 #include "common/arena.hpp"
 #include "common/cli.hpp"
 #include "common/group_list.hpp"
+#include "common/json.hpp"
 #include "common/profile.hpp"
 #include "common/prng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 
@@ -208,21 +214,86 @@ TEST(Rng, NormalMomentsRoughlyStandard) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-TEST(RunningStats, MatchesClosedForm) {
-  RunningStats s;
-  for (int i = 1; i <= 5; ++i) s.add(i);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 2.5);  // sample variance of 1..5
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  json::Writer w;
+  w.begin_object().field("k\"ey", std::string("q\"b\\n\nc\x01", 8));
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"k\"ey":"q\"b\\n\u000ac\u0001"})");
 }
 
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
+TEST(Json, NonFiniteDoublesAreNull) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  json::Writer w;
+  w.begin_array().value(std::numeric_limits<double>::quiet_NaN());
+  w.value(inf).value(-inf).value(1.5).end_array();
+  EXPECT_EQ(w.str(), "[null,null,null,1.5]");
+}
+
+TEST(Json, DoublesReadBackBitExactly) {
+  const double values[] = {0.1,
+                           1.0 / 3.0,
+                           -2.5,
+                           6.02214076e23,
+                           1e-300,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           0.0,
+                           -0.0,
+                           4.750187e+00,
+                           0.1f};
+  for (const double v : values) {
+    json::Writer w;
+    w.value(v);
+    const double back = std::strtod(w.str().c_str(), nullptr);
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof(v)), 0) << w.str();
+  }
+  json::Writer w;
+  w.begin_array().value(0.1).value(5.0).value(-0.0).value(1e300);
+  w.value(0.1f).end_array();
+  EXPECT_EQ(w.str(), "[0.1,5,-0,1e+300,0.10000000149011612]");
+}
+
+TEST(Json, IntegersPrintExactlyAtTheirExtremes) {
+  json::Writer w;
+  w.begin_array().value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::uint64_t>::max()).value(0).value(-7);
+  w.value(true).value(false).end_array();
+  EXPECT_EQ(w.str(),
+            "[-9223372036854775808,18446744073709551615,0,-7,true,false]");
+}
+
+TEST(Json, EmptyAndNestedContainersPlaceTheirOwnCommas) {
+  json::Writer empty_object, empty_array;
+  empty_object.begin_object().end_object();
+  empty_array.begin_array().end_array();
+  EXPECT_EQ(empty_object.str(), "{}");
+  EXPECT_EQ(empty_array.str(), "[]");
+
+  json::Writer w;
+  w.begin_object().key("a").begin_array().end_array();
+  w.key("b").begin_object().end_object();
+  w.key("c").begin_array().begin_object().end_object().begin_array();
+  w.value(1).begin_object().key("d").begin_array().end_array().end_object();
+  w.end_array().end_array();
+  w.key("e").raw(empty_object.str()).field("f", "g").end_object();
+  EXPECT_EQ(w.str(), R"({"a":[],"b":{},"c":[{},[1,{"d":[]}]],"e":{},"f":"g"})");
+}
+
+TEST(Json, WriteFileReportsFailure) {
+  const std::string dir = testing::TempDir();
+  EXPECT_FALSE(json::write_json_file(dir + "no_such_dir/out.json", "{}"));
+  // A directory cannot be opened for writing, even by root.
+  EXPECT_FALSE(json::write_json_file(dir, "{}"));
+
+  const std::string path = dir + "caqr_json_write_test.json";
+  ASSERT_TRUE(json::write_json_file(path, R"({"a":1})"));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[16] = {};
+  const std::size_t got = std::fread(buf, 1, sizeof(buf), f);
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(std::string(buf, got), R"({"a":1})");
 }
 
 TEST(TextTable, AlignedOutputAndCsv) {

@@ -467,6 +467,8 @@ TEST(GridFt, FaultCountersExportedInGridTrace) {
   (void)f.form_q(grid, n);
 
   const std::string trace = grid_trace_json(grid);
+  // One process per device: device 1's launches are pid 1.
+  EXPECT_NE(trace.find("\"ph\":\"X\",\"pid\":1,"), std::string::npos);
   EXPECT_NE(trace.find("\"commStats\""), std::string::npos);
   EXPECT_NE(trace.find("\"retried_transfers\""), std::string::npos);
   EXPECT_NE(trace.find("\"checksum_mismatches\""), std::string::npos);

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -706,7 +707,7 @@ TEST(FtGridCheckpoint, SnapshotRoundTripPreservesDistState) {
   // The file holds the final snapshot: all 4 panels, the partition in use,
   // and the packed working matrix — a DistMatrix restore in one read.
   const auto ck =
-      dist::load_grid_checkpoint<double>(path, m, n, small_dist().panel_width);
+      dist::load_grid_checkpoint<double>(path, m, n, small_dist());
   ASSERT_TRUE(ck.valid);
   EXPECT_EQ(ck.done, n / small_dist().panel_width);
   EXPECT_EQ(ck.offsets, res.partition);
@@ -715,9 +716,11 @@ TEST(FtGridCheckpoint, SnapshotRoundTripPreservesDistState) {
 
   // Shape/dtype mismatches self-invalidate instead of resuming garbage.
   EXPECT_FALSE(
-      dist::load_grid_checkpoint<double>(path, m + 1, n, 8).valid);
-  EXPECT_FALSE(dist::load_grid_checkpoint<double>(path, m, n, 16).valid);
-  EXPECT_FALSE(dist::load_grid_checkpoint<float>(path, m, n, 8).valid);
+      dist::load_grid_checkpoint<double>(path, m + 1, n, small_dist()).valid);
+  EXPECT_FALSE(
+      dist::load_grid_checkpoint<double>(path, m, n, small_dist(16)).valid);
+  EXPECT_FALSE(
+      dist::load_grid_checkpoint<float>(path, m, n, small_dist()).valid);
   std::remove(path.c_str());
 }
 
@@ -775,6 +778,109 @@ TEST(FtGridCheckpoint, MidReductionResumeAcrossRebuiltGrid) {
   }
   std::remove(path.c_str());
   std::remove(mid.c_str());
+}
+
+// Checksum-valid copies of a mid-run grid snapshot whose contents do not fit
+// the run must fall back to a clean start: load_grid_checkpoint checks every
+// shape the resume indexes storage by instead of trusting the file.
+class FtGridCheckpointCrafted : public testing::Test {
+ protected:
+  static constexpr idx m = 192, n = 32;
+
+  void SetUp() override {
+    // One file per test: ctest runs the cases in parallel processes.
+    path = testing::TempDir() + "grid_ckpt_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".bin";
+    a = matrix_with_condition<double>(m, n, 1e5, 203);
+    std::remove(path.c_str());
+    // The snapshot after panel 2 of 4 on 4 devices: four slices and a
+    // two-level cross tree per panel.
+    dist::DeviceGrid grid(4);
+    dist::GridRecoveryOptions ropt;
+    ropt.checkpoint_path = path;
+    ropt.checkpoint_every = 2;
+    ropt.max_attempts = 1;
+    auto hook = [&](const dist::DistCaqrFactorization<double>&, idx done) {
+      if (done == 2) valid = ft::CheckpointReader::load(path);
+    };
+    ASSERT_TRUE(dist::factor_with_recovery<double>(grid, a.view(),
+                                                   small_dist(), ropt, hook)
+                    .ok());
+    ASSERT_TRUE(valid.has_value());
+  }
+  void TearDown() override { std::remove(path.c_str()); }
+
+  std::string raw(const std::string& name) const {
+    std::vector<char> bytes;
+    EXPECT_TRUE(valid->vec(name, bytes)) << name;
+    return std::string(bytes.begin(), bytes.end());
+  }
+  // Matrix section bytes (dims, then column-major data) of the top `rows`
+  // rows of the matrix section `name`.
+  std::string top_rows(const std::string& name, idx rows) const {
+    Matrix<double> full;
+    EXPECT_TRUE(valid->matrix(name, full)) << name;
+    const std::int64_t dims[2] = {rows, full.cols()};
+    std::string out(reinterpret_cast<const char*>(dims), sizeof(dims));
+    for (idx j = 0; j < full.cols(); ++j) {
+      out.append(reinterpret_cast<const char*>(full.view().col(j)),
+                 static_cast<std::size_t>(rows) * sizeof(double));
+    }
+    return out;
+  }
+  // Rewrites the snapshot with section `name` replaced by `bytes`, resumes
+  // a fresh 4-device grid from it, and returns whether the snapshot was
+  // used. The factorization must be correct either way.
+  bool resumes_with(const std::string& name, const std::string& bytes) {
+    write_with_section(*valid, path, name, bytes);
+    dist::DeviceGrid grid(4);
+    dist::GridRecoveryOptions ropt;
+    ropt.checkpoint_every = 0;
+    ropt.checkpoint_path = path;
+    const auto res =
+        dist::factor_with_recovery<double>(grid, a.view(), small_dist(), ropt);
+    EXPECT_TRUE(res.ok());
+    if (!res.ok()) return res.used_checkpoint;
+    dist::DeviceGrid gq(4);
+    const Matrix<double> q = res.f->form_q(gq, n).gather();
+    EXPECT_TRUE(
+        numerics::verify_qr(a.view(), q.view(), res.f->r().view()).pass);
+    return res.used_checkpoint;
+  }
+
+  Matrix<double> a;
+  std::string path;
+  std::optional<ft::CheckpointReader> valid;
+};
+
+TEST_F(FtGridCheckpointCrafted, WrongAShapeFallsBackToCleanStart) {
+  EXPECT_TRUE(resumes_with("done", raw("done")));  // the rewrite is sound
+  EXPECT_FALSE(resumes_with("a", top_rows("a", m / 2)));
+}
+
+TEST_F(FtGridCheckpointCrafted, ShortTaus0FallsBackToCleanStart) {
+  std::string taus = raw("p0.s1.taus0");
+  taus.resize(taus.size() - sizeof(double));
+  EXPECT_FALSE(resumes_with("p0.s1.taus0", taus));
+}
+
+TEST_F(FtGridCheckpointCrafted, WrongHeightCrossStageFallsBackToCleanStart) {
+  // A k = 2 group's stage is 2w x w; keep only the owner's w rows.
+  const idx w = small_dist().panel_width;
+  EXPECT_FALSE(resumes_with("p1.x0.g0.stage", top_rows("p1.x0.g0.stage", w)));
+}
+
+TEST_F(FtGridCheckpointCrafted, WrongPanelOrSliceShapeFallsBackToCleanStart) {
+  auto int_bytes = [](std::int64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  EXPECT_FALSE(resumes_with("p1.c0", int_bytes(0)));  // panel 1 starts at w
+  EXPECT_FALSE(resumes_with("p0.w", int_bytes(16)));
+  EXPECT_FALSE(resumes_with("p0.s3.grow0", int_bytes(m)));  // below the rows
+  std::int64_t height = 0;
+  ASSERT_TRUE(valid->scalar("p0.s2.height", height));
+  EXPECT_FALSE(resumes_with("p0.s2.height", int_bytes(height + 1)));
 }
 
 TEST(FtGridRecovery, ScheduledDeviceLossRecoversByShardMerge) {

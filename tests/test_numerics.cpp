@@ -67,6 +67,21 @@ TEST(Verifier, NonFiniteFactorsFail) {
   EXPECT_FALSE(rep.pass);
 }
 
+// A non-finite report is still valid JSON: JSON has no NaN or infinity,
+// so those metrics are null, and the label is escaped.
+TEST(Verifier, JsonOfNonFiniteReportIsValidJson) {
+  VerifyReport rep;
+  rep.residual = std::numeric_limits<double>::infinity();
+  rep.orthogonality = std::numeric_limits<double>::quiet_NaN();
+  rep.gram_residual = -std::numeric_limits<double>::infinity();
+  rep.tolerance = 0.25;
+  rep.finite = false;
+  EXPECT_EQ(numerics::verify_json_object(rep, "cond \"1e8\" run"),
+            R"({"label":"cond \"1e8\" run","residual":null,)"
+            R"("orthogonality":null,"gram_residual":null,"tolerance":0.25,)"
+            R"("finite":false,"pass":false})");
+}
+
 TEST(Verifier, ExtremeUniformScalesStayMeasurable) {
   // ||A||_F^2 overflows (or vanishes) at these scales; the verifier must
   // equilibrate instead of reporting Inf/NaN or 0/0.

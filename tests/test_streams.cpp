@@ -469,7 +469,7 @@ TEST(TraceJson, ParseableAndRoundTrips) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 
   const std::string path = testing::TempDir() + "caqr_trace_test.json";
-  ASSERT_TRUE(gpusim::write_trace_json(dev, path));
+  ASSERT_TRUE(json::write_json_file(path, json));
   std::FILE* fp = std::fopen(path.c_str(), "rb");
   ASSERT_NE(fp, nullptr);
   std::string back;
@@ -488,6 +488,10 @@ TEST(TraceJson, EmptyTimelineIsValid) {
   const std::string json = gpusim::trace_json(dev);
   expect_structurally_valid_json(json);
   EXPECT_NE(json.find("\"traceEvents\":[]"), std::string::npos);
+  // otherData is spliced in as the JSON value it already is.
+  EXPECT_EQ(gpusim::trace_json(dev, R"({"label":"a\"b","residual":null})"),
+            R"({"displayTimeUnit":"ms","traceEvents":[],)"
+            R"("otherData":{"label":"a\"b","residual":null}})");
 }
 
 // --------------------------------------------------------------------------

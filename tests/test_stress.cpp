@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "caqr/caqr.hpp"
@@ -45,7 +46,15 @@ TEST(Stress, JsonSerializationCoversEveryRow) {
   spec.cols = 8;
   spec.conds = {1e0};
   spec.col_scales = {1.0};
-  const auto s = numerics::run_stress(spec);
+  auto s = numerics::run_stress(spec);
+  // A failed run with a non-finite report and a quoted path name must
+  // still serialize as valid JSON: null metrics, escaped strings.
+  numerics::StressRow bad;
+  bad.path = "cholqr \"strict\"";
+  bad.report.residual = std::numeric_limits<double>::quiet_NaN();
+  bad.report.orthogonality = std::numeric_limits<double>::infinity();
+  bad.report.finite = false;
+  s.rows.push_back(bad);
   const std::string json = numerics::stress_json(s);
   std::size_t objects = 0;
   for (std::size_t pos = json.find("\"path\""); pos != std::string::npos;
@@ -53,6 +62,12 @@ TEST(Stress, JsonSerializationCoversEveryRow) {
     ++objects;
   }
   EXPECT_EQ(objects, s.rows.size());
+  EXPECT_NE(json.find(R"({"path":"cholqr \"strict\"","cond":1,"col_scale":1,)"
+                      R"("mixed":false,"report":{"residual":null,)"
+                      R"("orthogonality":null,"gram_residual":0,)"
+                      R"("tolerance":0,"finite":false,"pass":false}}])"),
+            std::string::npos)
+      << json;
 }
 
 // --- Satellite 4: degenerate inputs through every path ---
