@@ -169,16 +169,19 @@ void BM_ReferenceGeqrf(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceGeqrf)->Arg(1024)->Arg(8192);
 
+template <typename T>
 void BM_JacobiSvdSmall(benchmark::State& state) {
-  // The R-factor SVD inside the application pipeline.
+  // The R-factor SVD inside the application pipeline; float at 64 is the
+  // stream's window shape.
   const idx n = state.range(0);
-  auto a = gaussian_matrix<double>(n, n, 9);
+  auto a = gaussian_matrix<T>(n, n, 9);
   for (auto _ : state) {
     auto f = jacobi_svd(a.view());
     benchmark::DoNotOptimize(f.sigma.data());
   }
 }
-BENCHMARK(BM_JacobiSvdSmall)->Arg(32)->Arg(100);
+BENCHMARK_TEMPLATE(BM_JacobiSvdSmall, double)->Arg(32)->Arg(100);
+BENCHMARK_TEMPLATE(BM_JacobiSvdSmall, float)->Arg(64)->Arg(100);
 
 void BM_StackedGeqr2(benchmark::State& state) {
   // The factor_tree kernel core: a quad-tree combine of 16-wide triangles.

@@ -13,6 +13,9 @@
 // on 128 x 16 blocks reproduces the paper's reported 55 / 168 / 194 / 388
 // GFLOPS ladder on the C2050 model, then frozen (see EXPERIMENTS.md).
 
+#include <cstdint>
+#include <optional>
+
 namespace caqr::kernels {
 
 enum class ReductionVariant {
@@ -21,6 +24,16 @@ enum class ReductionVariant {
   RegisterSerialReduction,   // §IV.E.3: 194 GFLOPS
   RegisterSerialTransposed,  // §IV.E.4: 388 GFLOPS (default)
 };
+
+// The variant stored as `v` (a checkpoint field), or nothing when `v` names
+// no variant: cost_params would silently return zero costs for it.
+inline std::optional<ReductionVariant> reduction_variant_from(std::int32_t v) {
+  if (v < 0 ||
+      v > static_cast<std::int32_t>(ReductionVariant::RegisterSerialTransposed)) {
+    return std::nullopt;
+  }
+  return static_cast<ReductionVariant>(v);
+}
 
 struct KernelCostParams {
   // Multiplier on ideal FMA issue cycles (idle lanes in badly shaped

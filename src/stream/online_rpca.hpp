@@ -59,7 +59,6 @@ struct OnlineRpcaOptions {
   // default tolerates normal float accumulation over thousands of combines;
   // 0 forces a refactor every frame (used by tests to pin the drift path).
   double drift_threshold = 1e-3;
-  svd::SmallSvd small_svd = svd::SmallSvd::Jacobi;
   int svd_max_sweeps = 60;
   double cpu_svd_gflops = 4.0;
   kernels::ReductionVariant variant =
@@ -210,7 +209,6 @@ class OnlineRpca {
     w.scalar(prefix + "lambda", opt_.lambda);
     w.scalar(prefix + "rank_energy", opt_.rank_energy);
     w.scalar(prefix + "drift_threshold", opt_.drift_threshold);
-    w.scalar(prefix + "small_svd", static_cast<std::int32_t>(opt_.small_svd));
     w.scalar(prefix + "svd_max_sweeps", opt_.svd_max_sweeps);
     w.scalar(prefix + "cpu_svd_gflops", opt_.cpu_svd_gflops);
     w.scalar(prefix + "variant", static_cast<std::int32_t>(opt_.variant));
@@ -236,14 +234,13 @@ class OnlineRpca {
                                            const std::string& prefix) {
     OnlineRpcaOptions opt;
     std::int64_t cols = 0, frame_rows = 0, window_frames = 0, retained = 0;
-    std::int32_t small_svd = 0, variant = 0;
+    std::int32_t variant = 0;
     if (!r.scalar(prefix + "cols", cols) ||
         !r.scalar(prefix + "frame_rows", frame_rows) ||
         !r.scalar(prefix + "window_frames", window_frames) ||
         !r.scalar(prefix + "lambda", opt.lambda) ||
         !r.scalar(prefix + "rank_energy", opt.rank_energy) ||
         !r.scalar(prefix + "drift_threshold", opt.drift_threshold) ||
-        !r.scalar(prefix + "small_svd", small_svd) ||
         !r.scalar(prefix + "svd_max_sweeps", opt.svd_max_sweeps) ||
         !r.scalar(prefix + "cpu_svd_gflops", opt.cpu_svd_gflops) ||
         !r.scalar(prefix + "variant", variant) ||
@@ -252,11 +249,12 @@ class OnlineRpca {
         retained > window_frames) {
       return std::nullopt;
     }
+    const auto v = kernels::reduction_variant_from(variant);
+    if (!v) return std::nullopt;
     opt.cols = static_cast<idx>(cols);
     opt.frame_rows = static_cast<idx>(frame_rows);
     opt.window_frames = static_cast<idx>(window_frames);
-    opt.small_svd = static_cast<svd::SmallSvd>(small_svd);
-    opt.variant = static_cast<kernels::ReductionVariant>(variant);
+    opt.variant = *v;
     OnlineRpca<T> out(opt);
     if (!r.scalar(prefix + "frames_seen", out.frames_seen_) ||
         !r.scalar(prefix + "window_sq", out.window_sq_)) {
@@ -289,7 +287,6 @@ class OnlineRpca {
  private:
   svd::TallSkinnySvdOptions svd_opt() const {
     svd::TallSkinnySvdOptions o;
-    o.small_svd = opt_.small_svd;
     o.svd_max_sweeps = opt_.svd_max_sweeps;
     o.cpu_svd_gflops = opt_.cpu_svd_gflops;
     return o;

@@ -226,8 +226,9 @@ class SlidingWindowQr {
         !r.scalar(prefix + "total_rows", total_rows)) {
       return std::nullopt;
     }
-    SlidingWindowQr<T> out(static_cast<idx>(width),
-                           static_cast<kernels::ReductionVariant>(variant));
+    const auto v = kernels::reduction_variant_from(variant);
+    if (!v) return std::nullopt;
+    SlidingWindowQr<T> out(static_cast<idx>(width), *v);
     if (!r.scalar(prefix + "factors", out.factors_) ||
         !r.scalar(prefix + "combines", out.combines_) ||
         !r.scalar(prefix + "flips", out.flips_)) {

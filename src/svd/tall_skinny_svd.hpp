@@ -22,7 +22,6 @@
 #include "baselines/qr_baselines.hpp"
 #include "caqr/caqr.hpp"
 #include "gpusim/device.hpp"
-#include "linalg/bidiag.hpp"
 #include "linalg/svd.hpp"
 
 namespace caqr::svd {
@@ -42,12 +41,6 @@ struct TallSkinnySvd {
 enum class QrBackend {
   Caqr,       // the paper's contribution
   GpuBlas2,   // tuned bandwidth-bound GPU QR (Table II middle row)
-};
-
-// Algorithm for the small CPU SVD of R.
-enum class SmallSvd {
-  Jacobi,    // one-sided Jacobi directly on R
-  TwoPhase,  // Golub-Kahan bidiagonalization + Jacobi on the bidiagonal
 };
 
 // Routing point for external QR execution (the serving layer's
@@ -74,7 +67,6 @@ class QrHook {
 
 struct TallSkinnySvdOptions {
   QrBackend backend = QrBackend::Caqr;
-  SmallSvd small_svd = SmallSvd::Jacobi;
   caqr::CaqrOptions caqr;
   baselines::GpuBlas2QrOptions blas2 = baselines::GpuBlas2QrOptions::tuned();
   // Effective rate of the small n x n Jacobi SVD on the host CPU
@@ -101,8 +93,8 @@ inline void charge_small_svd(gpusim::Device& dev, idx n,
 }
 
 // Stage 2 of the pipeline as a standalone entry point: the small n x n CPU
-// SVD of an already-computed R, with the same timeline charge and algorithm
-// selection as tall_skinny_svd. Callers that maintain R incrementally (the
+// SVD of an already-computed R, with the same timeline charge and sweep
+// budget as tall_skinny_svd. Callers that maintain R incrementally (the
 // streaming layer's SlidingWindowQr keeps the window R current across
 // append/evict) use this to get singular values/subspaces per frame without
 // re-running stage 1 at all. Functional mode computes; ModelOnly only
@@ -116,9 +108,7 @@ SvdResult<view_scalar_t<VR>> small_svd_of_r(
   charge_small_svd(dev, r.cols(), opt.cpu_svd_gflops);
   SvdResult<T> rs;
   if (dev.mode() == gpusim::ExecMode::Functional) {
-    rs = opt.small_svd == SmallSvd::Jacobi
-             ? jacobi_svd(r, opt.svd_max_sweeps)
-             : two_phase_svd(r, opt.svd_max_sweeps);
+    rs = jacobi_svd(r, opt.svd_max_sweeps);
   }
   return rs;
 }

@@ -181,27 +181,5 @@ TEST_P(RpcaCorruptionSweep, RecoversLowRankPart) {
 INSTANTIATE_TEST_SUITE_P(Fractions, RpcaCorruptionSweep,
                          ::testing::Values(0.01, 0.03, 0.05, 0.10));
 
-TEST(Rpca, SmallSvdBackendDoesNotChangeResult) {
-  LowRankPlusSparse spec;
-  spec.rank = 2;
-  spec.sparse_fraction = 0.05;
-  auto planted = planted_low_rank_plus_sparse<double>(150, 20, spec, 882);
-  auto run = [&](svd::SmallSvd algo) {
-    Device dev;
-    rpca::RpcaOptions opt;
-    opt.max_iterations = 40;
-    opt.svd.small_svd = algo;
-    return rpca::robust_pca(dev, planted.observed.view(), opt);
-  };
-  auto a = run(svd::SmallSvd::Jacobi);
-  auto b = run(svd::SmallSvd::TwoPhase);
-  EXPECT_EQ(a.iterations, b.iterations);
-  for (idx j = 0; j < 20; ++j) {
-    for (idx i = 0; i < 150; ++i) {
-      ASSERT_NEAR(a.low_rank(i, j), b.low_rank(i, j), 1e-7);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace caqr

@@ -264,6 +264,34 @@ TEST(SlidingWindowQr, CheckpointRoundTripContinuesBitIdentically) {
   std::remove(path.c_str());
 }
 
+// A stored variant outside kernels::ReductionVariant would give zero-cost
+// kernels; the loader refuses it. The same checkpoint with the stored
+// variant loads.
+TEST(SlidingWindowQr, LoadRejectsOutOfRangeVariant) {
+  const idx n = 8;
+  auto a = gaussian_matrix<double>(32, n, 82);
+  Device dev;
+  stream::SlidingWindowQr<double> win(n);
+  win.append(dev, a.view());
+  const std::string path = "/tmp/caqr_test_window_variant.ckpt";
+  for (const std::int32_t variant : {-1, 4, 1 << 20}) {
+    ft::CheckpointWriter w;
+    win.save(w, "t.");
+    w.scalar("t.variant", variant);  // a later section overrides the first
+    ASSERT_TRUE(w.write(path));
+    const auto reader = ft::CheckpointReader::load(path);
+    ASSERT_TRUE(reader.has_value());
+    EXPECT_FALSE(stream::SlidingWindowQr<double>::load(*reader, "t."))
+        << "variant " << variant;
+  }
+  ft::CheckpointWriter w;
+  win.save(w, "t.");
+  ASSERT_TRUE(w.write(path));
+  EXPECT_TRUE(stream::SlidingWindowQr<double>::load(
+      *ft::CheckpointReader::load(path), "t."));
+  std::remove(path.c_str());
+}
+
 // -- Online RPCA --
 
 stream::StreamConfig small_stream(int id, std::uint64_t seed) {
@@ -330,6 +358,34 @@ TEST(OnlineRpca, DefaultThresholdToleratesNormalAccumulation) {
   // double-precision combines over a tiny window never approach 1e-3
   // relative Gram divergence.
   EXPECT_TRUE(cam.rpca().drift_events().empty());
+}
+
+TEST(OnlineRpca, LoadRejectsOutOfRangeVariant) {
+  const auto cfg = small_stream(4, 95);
+  stream::OnlineRpca<double> rpca(cfg.rpca);
+  Device dev;
+  auto frames = gaussian_matrix<double>(cfg.rpca.frame_rows * 3, cfg.rpca.cols, 96);
+  for (idx f = 0; f < 3; ++f) {
+    rpca.consume(dev, frames.view().block(f * cfg.rpca.frame_rows, 0,
+                                          cfg.rpca.frame_rows, cfg.rpca.cols));
+  }
+  const std::string path = "/tmp/caqr_test_rpca_variant.ckpt";
+  for (const std::int32_t variant : {-1, 4, 1 << 20}) {
+    ft::CheckpointWriter w;
+    rpca.save(w, "s.");
+    w.scalar("s.variant", variant);  // a later section overrides the first
+    ASSERT_TRUE(w.write(path));
+    const auto reader = ft::CheckpointReader::load(path);
+    ASSERT_TRUE(reader.has_value());
+    EXPECT_FALSE(stream::OnlineRpca<double>::load(*reader, "s."))
+        << "variant " << variant;
+  }
+  ft::CheckpointWriter w;
+  rpca.save(w, "s.");
+  ASSERT_TRUE(w.write(path));
+  EXPECT_TRUE(stream::OnlineRpca<double>::load(
+      *ft::CheckpointReader::load(path), "s."));
+  std::remove(path.c_str());
 }
 
 // Migration must resume bit-identically, including when the serving devices

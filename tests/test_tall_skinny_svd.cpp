@@ -59,22 +59,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, SvdBackends,
                          ::testing::Values(QrBackend::Caqr,
                                            QrBackend::GpuBlas2));
 
-TEST(TallSkinnySvd, TwoPhaseSmallSvdAgreesWithJacobi) {
-  auto a = gaussian_matrix<double>(500, 20, 131);
-  Device dev;
-  TallSkinnySvdOptions jopt;
-  jopt.small_svd = svd::SmallSvd::Jacobi;
-  TallSkinnySvdOptions topt;
-  topt.small_svd = svd::SmallSvd::TwoPhase;
-  auto fj = svd::tall_skinny_svd(dev, a.view(), jopt);
-  auto ft = svd::tall_skinny_svd(dev, a.view(), topt);
-  for (idx i = 0; i < 20; ++i) {
-    ASSERT_NEAR(fj.sigma[static_cast<std::size_t>(i)],
-                ft.sigma[static_cast<std::size_t>(i)], 1e-10 * fj.sigma[0]);
-  }
-  EXPECT_LT(pipeline_residual(a.view(), ft), 1e-12);
-}
-
 TEST(TallSkinnySvd, MatchesDirectJacobiSingularValues) {
   auto a = matrix_with_condition<double>(400, 16, 1e4, 33);
   Device dev;
