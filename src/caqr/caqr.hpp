@@ -266,11 +266,16 @@ class CaqrFactorization {
   }
 
   // Explicit m x qcols orthogonal factor (SORGQR equivalent); qcols == 0
-  // yields an m x 0 matrix.
+  // yields an m x 0 matrix. Bit-identical to apply_q on
+  // Matrix::identity(m, qcols), but skips the columns the identity leaves
+  // zero (walk()). ModelOnly seeds a storage-free placeholder and only
+  // charges the timeline.
   Matrix<T> form_q(gpusim::Device& dev, idx qcols) const {
     CAQR_CHECK(qcols >= 0 && qcols <= a_.rows());
-    Matrix<T> q = Matrix<T>::identity(a_.rows(), qcols);
-    apply_q(dev, q.view());
+    Matrix<T> q = dev.mode() == gpusim::ExecMode::Functional
+                      ? Matrix<T>::identity(a_.rows(), qcols)
+                      : Matrix<T>::shape_only(a_.rows(), qcols);
+    walk(dev, q.view(), /*transpose_q=*/false, /*identity_seed=*/true);
     return q;
   }
 
@@ -376,19 +381,26 @@ class CaqrFactorization {
     f.status_.severity = ft::worse(f.status_.severity, sev);
   }
 
-  void walk(gpusim::Device& dev, MatrixView<T> c, bool transpose_q) const {
+  // Q^T = Q_{np-1}^T ... Q_0^T walks the panels forward, Q in reverse.
+  // `identity_seed` (form_q only) narrows the reverse walk the way xORGQR
+  // does: before panel p's Q is applied, seed columns j < c0 are still e_j,
+  // zero in the panel's rows [c0, m), and applying reflectors to a zero
+  // column leaves +0 in every entry. So panel p targets only columns
+  // [min(c0, ncols), ncols) and Q keeps its bits.
+  void walk(gpusim::Device& dev, MatrixView<T> c, bool transpose_q,
+            bool identity_seed = false) const {
     CAQR_CHECK(c.rows() == a_.rows());
     if (c.cols() == 0) return;
     const tsqr::TsqrOptions topt = opt_.panel_tsqr();
     const idx np = static_cast<idx>(panels_.size());
-    // Q^T = Q_{np-1}^T ... Q_0^T walks the panels forward, Q in reverse.
     for (idx i = 0; i < np; ++i) {
       const idx p = transpose_q ? i : np - 1 - i;
       const idx c0 = p * opt_.panel_width;
+      const idx j0 = identity_seed ? std::min(c0, c.cols()) : 0;
       const auto& meta = panels_[static_cast<std::size_t>(p)];
       tsqr_apply(dev, gpusim::kDefaultStream,
                  a_.view().block(c0, c0, meta.rows, meta.width), meta,
-                 c.block(c0, 0, meta.rows, c.cols()), topt, transpose_q);
+                 c.block(c0, j0, meta.rows, c.cols() - j0), topt, transpose_q);
     }
   }
 

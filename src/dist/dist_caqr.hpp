@@ -304,7 +304,7 @@ class DistCaqrFactorization {
         a_.functional()
             ? DistMatrix<T>::identity(a_.rows(), qcols, a_.offsets())
             : DistMatrix<T>::shape_only(a_.rows(), qcols, a_.offsets());
-    walk(grid, q, /*transpose_q=*/false);
+    walk(grid, q, /*transpose_q=*/false, /*identity_seed=*/true);
     return q;
   }
 
@@ -634,7 +634,11 @@ class DistCaqrFactorization {
   }
 
   // Full-factorization Q^T / Q walk over a same-partition DistMatrix.
-  void walk(DeviceGrid& grid, DistMatrix<T>& c, bool transpose_q) const {
+  // `identity_seed` (form_q only) applies each panel to seed columns
+  // [min(c0, qcols), qcols) alone: the columns before c0 are still zero in
+  // the panel's rows, so Q keeps its bits (CaqrFactorization::walk).
+  void walk(DeviceGrid& grid, DistMatrix<T>& c, bool transpose_q,
+            bool identity_seed = false) const {
     CAQR_CHECK(c.rows() == a_.rows());
     CAQR_CHECK(c.offsets() == a_.offsets());
     if (c.cols() == 0) return;
@@ -647,8 +651,9 @@ class DistCaqrFactorization {
       }
     } else {
       for (idx p = np - 1; p >= 0; --p) {
-        apply_panel(grid, panels_[static_cast<std::size_t>(p)], topt, 0,
-                    c.cols(), false, c);
+        const PanelRecord& rec = panels_[static_cast<std::size_t>(p)];
+        const idx col0 = identity_seed ? std::min(rec.c0, c.cols()) : 0;
+        apply_panel(grid, rec, topt, col0, c.cols() - col0, false, c);
       }
     }
   }

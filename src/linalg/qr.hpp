@@ -125,11 +125,16 @@ void geqrf(MatrixView<T> a, T* tau, idx nb = 32) {
   CAQR_GUARD_FINITE(a, "geqrf:output");
 }
 
-// Applies Q (or Q^T) of a GEQRF factorization to C from the left (UNMQR).
-// a holds the reflectors (m x k), tau the scalar factors.
+namespace detail {
+
+// apply_q_left's loop. `identity_seed` (Q applied to the identity, ORGQR)
+// narrows each block p to columns [p, c.cols()): those before p are still
+// e_j, zero in rows [p, m), and the block would rewrite +0 with +0. gemm's
+// 4-column stripes start at the view's first column, and p is a multiple
+// of nb (32), so every column keeps its stripe and Q keeps its bits.
 template <typename T>
-void apply_q_left(In<ConstMatrixView<T>> a, const T* tau, Trans trans,
-                  In<MatrixView<T>> c, idx nb = 32) {
+void apply_q_left_cols(ConstMatrixView<T> a, const T* tau, Trans trans,
+                       MatrixView<T> c, idx nb, bool identity_seed) {
   const idx m = a.rows();
   const idx k = a.cols();
   CAQR_CHECK(c.rows() == m);
@@ -148,23 +153,37 @@ void apply_q_left(In<ConstMatrixView<T>> a, const T* tau, Trans trans,
     idx p0 = ((k - 1) / nb) * nb;
     for (idx p = p0; p >= 0; p -= nb) {
       const idx pb = std::min(nb, k - p);
+      const idx j0 = identity_seed ? std::min(p, c.cols()) : 0;
       auto v = a.block(p, p, m - p, pb);
       larft(v, tau + p, t.block(0, 0, pb, pb));
       larfb_left(v, t.as_const().block(0, 0, pb, pb), Trans::No,
-                 c.block(p, 0, m - p, c.cols()));
+                 c.block(p, j0, m - p, c.cols() - j0));
       if (p == 0) break;
     }
   }
 }
 
-// Forms the explicit m x k orthogonal factor Q of a GEQRF result (ORGQR).
+}  // namespace detail
+
+// Applies Q (or Q^T) of a GEQRF factorization to C from the left (UNMQR).
+// a holds the reflectors (m x k), tau the scalar factors.
+template <typename T>
+void apply_q_left(In<ConstMatrixView<T>> a, const T* tau, Trans trans,
+                  In<MatrixView<T>> c, idx nb = 32) {
+  detail::apply_q_left_cols(a, tau, trans, c, nb, /*identity_seed=*/false);
+}
+
+// Forms the explicit m x k orthogonal factor Q of a GEQRF result (ORGQR):
+// bit-identical to apply_q_left on the identity, skipping the columns the
+// identity leaves zero.
 template <typename T>
 Matrix<T> form_q(In<ConstMatrixView<T>> a, const T* tau, idx qcols) {
   const idx m = a.rows();
   CAQR_CHECK(qcols <= m);
   Matrix<T> q = Matrix<T>::identity(m, qcols);
   const idx k = std::min(a.cols(), qcols);
-  apply_q_left(a.block(0, 0, m, k), tau, Trans::No, q.view());
+  detail::apply_q_left_cols(a.block(0, 0, m, k), tau, Trans::No, q.view(),
+                            /*nb=*/32, /*identity_seed=*/true);
   return q;
 }
 

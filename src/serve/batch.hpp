@@ -139,12 +139,14 @@ BatchQrResult<T> factor_batch(gpusim::Device& dev,
       out.problems[i].q = functional ? Matrix<T>::identity(m, k)
                                      : Matrix<T>::shape_only(m, k);
     }
+    // Seed columns j < c0 are still e_j, zero in the panel's rows, so each
+    // panel updates only columns [c0, k) (CaqrFactorization::walk).
     for (std::size_t p = fs.size(); p-- > 0;) {
       const idx c0 = static_cast<idx>(p) * opt.panel_width;
       const idx len = fs[p].front().rows;
       for (std::size_t i = 0; i < np; ++i) {
         factored[i] = problems[i].block(c0, c0, len, fs[p].front().width);
-        targets[i] = out.problems[i].q.block(c0, 0, len, k);
+        targets[i] = out.problems[i].q.block(c0, c0, len, k - c0);
       }
       out.fused_launches += tsqr::tsqr_apply_span<T>(
           dev, gpusim::kDefaultStream, factored, fs[p], targets, topt,

@@ -483,9 +483,7 @@ class SolverPool {
       } else if (algo == QrAlgorithm::Caqr) {
         auto f = CaqrFactorization<T>::factor(
             dev, Matrix<T>::shape_only(m, n), opts);
-        Matrix<T> q = Matrix<T>::shape_only(m, k);
-        f.apply_q(dev, q.view());  // form_q's charges without the identity
-        resp.result.q = std::move(q);
+        resp.result.q = f.form_q(dev, k);
       } else {
         baselines::hybrid_qr(dev, Matrix<T>::shape_only(m, n));
         baselines::charge_gemm(dev, m, k, k, "hybrid_orgqr");

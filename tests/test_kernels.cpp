@@ -16,6 +16,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "caqr/caqr.hpp"
+#include "common/thread_pool.hpp"
+#include "gpusim/device.hpp"
 #include "kernels/block_ops.hpp"
 #include "kernels/cost_params.hpp"
 #include "kernels/kernels.hpp"
@@ -323,6 +326,45 @@ TEST(FlopCount, StackedApplyQtCountIsExact) {
   const long long ops = count_ops(
       [&] { stacked_apply(s.as_const(), w, k, tau.data(), c.view(), true); });
   EXPECT_EQ(static_cast<double>(ops), stacked_apply_qt_flops(w, k, ncols));
+}
+
+// form_q's SORGQR walk applies panel p to the qcols - min(c0, qcols) seed
+// columns the identity leaves nonzero, and no others: the counting scalar
+// pins the operations it performs, the device profile the flops it charges,
+// both against the closed-form sum over panels.
+TEST(FlopCount, FormQAppliesEachPanelToItsNonzeroColumns) {
+  const idx m = 300, n = 40, qcols = 30;  // panel c0 = 0, 16, 32
+  CaqrOptions opt;
+  opt.panel_width = 16;
+  opt.tsqr.block_rows = 64;
+  ThreadPool pool(1);  // Counted::ops is a plain counter
+  gpusim::Device dev(gpusim::GpuMachineModel::c2050(),
+                     gpusim::ExecMode::Functional, &pool);
+  auto f = CaqrFactorization<Counted>::factor(
+      dev, counted_from(gaussian_matrix<double>(m, n, 31).view()), opt);
+
+  double h_flops = 0, tree_flops = 0;
+  for (idx c0 = 0; c0 < n; c0 += opt.panel_width) {
+    const idx w = std::min(opt.panel_width, n - c0);
+    const idx nc = qcols - std::min(c0, qcols);
+    const auto meta = tsqr::replay_meta(m - c0, w, opt.panel_tsqr());
+    for (idx b = 0; b < meta->num_blocks(); ++b) {
+      const auto i = static_cast<std::size_t>(b);
+      h_flops +=
+          block_apply_qt_flops(meta->offsets[i + 1] - meta->offsets[i], w, nc);
+    }
+    for (const GroupList& groups : meta->levels) {
+      for (idx g = 0; g < groups.size(); ++g) {
+        tree_flops += stacked_apply_qt_flops(w, groups.group_size(g), nc);
+      }
+    }
+  }
+  const long long ops = count_ops([&] { (void)f.form_q(dev, qcols); });
+  EXPECT_EQ(static_cast<double>(ops), h_flops + tree_flops);
+  ASSERT_NE(dev.profile("apply_q_h"), nullptr);
+  ASSERT_NE(dev.profile("apply_q_tree"), nullptr);
+  EXPECT_EQ(dev.profile("apply_q_h")->flops, h_flops);
+  EXPECT_EQ(dev.profile("apply_q_tree")->flops, tree_flops);
 }
 
 // The kernel structs' reported flops must equal the numeric cores' counts

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -167,6 +168,41 @@ TEST(FormQ, ExplicitQMatchesApplication) {
   apply_q_left(f.view(), tau.data(), Trans::No, e.view(), 3);
   for (idx j = 0; j < 8; ++j) {
     for (idx i = 0; i < 25; ++i) ASSERT_NEAR(q(i, j), e(i, j), 1e-13);
+  }
+}
+
+// form_q (ORGQR) applies block p only to columns [p, qcols), which the
+// identity seed leaves zero below row p; Q must stay bit-identical to the
+// full-width apply_q_left on the identity (so random_matrix inputs built
+// through form_q keep their bits too).
+template <typename T>
+void expect_orgqr_matches_full_walk(idx m, idx n, idx qcols) {
+  auto f = gaussian_matrix<T>(m, n, 9);
+  std::vector<T> tau(static_cast<std::size_t>(std::min(m, n)));
+  geqrf(f.view(), tau.data());
+  const Matrix<T> q = form_q(f.view(), tau.data(), qcols);
+  Matrix<T> full = Matrix<T>::identity(m, qcols);
+  const idx k = std::min(n, qcols);
+  apply_q_left(f.view().block(0, 0, m, k), tau.data(), Trans::No,
+               full.view());
+  for (idx j = 0; j < qcols; ++j) {
+    ASSERT_EQ(std::memcmp(q.view().col(j), full.view().col(j),
+                          static_cast<std::size_t>(m) * sizeof(T)),
+              0)
+        << m << "x" << n << " qcols " << qcols << " column " << j;
+  }
+}
+
+TEST(FormQ, NarrowedWalkBitIdenticalToFullWidth) {
+  for (const auto& [m, n, qcols] :
+       std::vector<std::tuple<idx, idx, idx>>{{200, 100, 100},
+                                             {200, 100, 70},
+                                             {130, 67, 67},
+                                             {130, 67, 45},
+                                             {90, 90, 90},
+                                             {50, 20, 20}}) {
+    expect_orgqr_matches_full_walk<float>(m, n, qcols);
+    expect_orgqr_matches_full_walk<double>(m, n, qcols);
   }
 }
 

@@ -134,6 +134,17 @@ TEST(Rpca, IterationRateOrderingMatchesTableII) {
   EXPECT_LT(rate_caqr / rate_blas2, 8.0);
 }
 
+// Table II pins the CAQR backend at 27 it/s on the GTX480; the simulated
+// rate must land within 10% of it.
+TEST(Rpca, CaqrIterationRateMatchesTableII) {
+  svd::TallSkinnySvdOptions caqr_opt;
+  caqr_opt.backend = svd::QrBackend::Caqr;
+  Device dev(GpuMachineModel::gtx480(), ExecMode::ModelOnly);
+  const double rate =
+      rpca::rpca_iteration_rate<float>(dev, 110592, 100, caqr_opt);
+  EXPECT_NEAR(rate, 27.0, 2.7);
+}
+
 TEST(Rpca, SimulatedSecondsPerIterationPositive) {
   LowRankPlusSparse spec;
   spec.rank = 1;

@@ -376,6 +376,34 @@ TEST(SolverPool, PlanCacheHitOnRepeatedShape) {
   EXPECT_EQ(pool.plan_cache().misses(), 1);
 }
 
+// A planned CAQR request charges the same simulated time whether the pool
+// runs the arithmetic or only the model: both form Q through form_q.
+TEST(SolverPool, ModelOnlyCaqrChargesEqualFunctional) {
+  const idx m = 4096, n = 64;
+  RequestOptions req;
+  req.algo = QrAlgorithm::Caqr;
+  auto serve = [&](ExecMode mode) {
+    PoolOptions po;
+    po.workers = 1;
+    po.mode = mode;
+    SolverPool pool(po);
+    return pool
+        .submit(mode == ExecMode::Functional
+                    ? gaussian_matrix<float>(m, n, 77)
+                    : Matrix<float>::shape_only(m, n),
+                req)
+        .get();
+  };
+  const QrResponse<float> fr = serve(ExecMode::Functional);
+  const QrResponse<float> mr = serve(ExecMode::ModelOnly);
+  ASSERT_EQ(fr.status, RequestStatus::Done);
+  ASSERT_EQ(mr.status, RequestStatus::Done);
+  EXPECT_EQ(fr.result.used, QrAlgorithm::Caqr);
+  EXPECT_EQ(mr.result.used, QrAlgorithm::Caqr);
+  EXPECT_GT(mr.simulated_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(fr.simulated_seconds, mr.simulated_seconds);
+}
+
 TEST(SolverPool, DeterministicAcrossWorkerCounts) {
   const idx m = 512, n = 24, kReq = 10;
   std::vector<Matrix<float>> inputs;
@@ -465,10 +493,10 @@ TEST(FactorBatch, FusedLaunchesVisibleInModelOnlyTimeline) {
     probs.push_back(Matrix<float>::shape_only(110592, 100));
   }
   auto batch = factor_batch(dev, std::move(probs), QrAlgorithm::Caqr);
-  // Golden simulated time of the fused schedule, recorded before the batch
-  // loop moved onto the tsqr/ span sequences: the rewrite must not move
-  // the simulated clock by a single bit.
-  EXPECT_EQ(batch.simulated_seconds, 0x1.2747e0d15521dp-3);
+  // Golden simulated time of the fused schedule, recorded when the SORGQR
+  // walk started skipping the seed columns still equal to e_j: later
+  // rewrites must not move the simulated clock by a single bit.
+  EXPECT_EQ(batch.simulated_seconds, 0x1.a87486d61d043p-4);
 
   bool saw_factor = false, saw_apply = false;
   long long fused_ops = 0;
