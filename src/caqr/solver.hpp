@@ -8,7 +8,10 @@
 // (MAGMA-like) blocked Householder at the given shape using the machine
 // model only (no data touched), then runs the cheaper one. Prediction uses
 // the same cost models as execution, so the selection is exact with respect
-// to the simulator.
+// to the simulator. pick_householder() is that comparison, written once
+// (serve::make_plan widens it with the CholeskyQR candidates). adaptive_qr
+// is the library's one "algorithm -> launches" dispatch on both clocks: a
+// ModelOnly run issues exactly the launches of a Functional one.
 //
 // Thread-safety and determinism, for every function in this header: all are
 // pure functions of (device, inputs, options) with no shared mutable state —
@@ -16,11 +19,12 @@
 // repo-wide launch rule). Results are bit-deterministic for fixed inputs
 // and options: prediction probes run ModelOnly on private devices, and the
 // functional paths inherit the simulator's deterministic block execution.
-// The serving layer (src/serve/) builds directly on these guarantees: it
-// memoizes the predictions per shape (PlanCache) and fans adaptive_qr out
-// across worker-owned devices (SolverPool) without changing any result.
+// The serving layer builds directly on these guarantees: it memoizes the
+// predictions per shape (PlanCache) and fans adaptive_qr out across
+// worker-owned devices (SolverPool) without changing any result.
 
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -59,6 +63,21 @@ inline tsqr::CholQrOptions cholqr_options_for(QrAlgorithm a,
   o.tsqr = caqr_opt.tsqr;
   return o;
 }
+
+// Typed rejection of a CholeskyQR-family request on a non-empty wide input
+// (the dist::PartitionError pattern): the Gram path needs rows >= cols, and
+// a throw, unlike an abort, reaches a serving caller through its future.
+struct CholQrShapeError : std::runtime_error {
+  CholQrShapeError(idx rows_, idx cols_)
+      : std::runtime_error("CholeskyQR rejected: " + std::to_string(rows_) +
+                           " x " + std::to_string(cols_) +
+                           " is wide (need rows >= cols); request Caqr, "
+                           "Hybrid or Auto"),
+        rows(rows_),
+        cols(cols_) {}
+  idx rows = 0;
+  idx cols = 0;
+};
 
 // Explicit factors plus what ran and how long it took (simulated). `used`
 // is never Auto: it records the resolved algorithm.
@@ -99,13 +118,27 @@ double predict_hybrid_seconds(const gpusim::GpuMachineModel& model, idx m,
   return baselines::hybrid_qr(probe, Matrix<T>::shape_only(m, n), opt).seconds;
 }
 
+// Auto's pick between the Householder algorithms (§V.C): CAQR or the hybrid
+// blocked Householder, whichever the machine model predicts cheaper; ties
+// go to CAQR.
+template <typename T>
+QrAlgorithm pick_householder(const gpusim::GpuMachineModel& model, idx m,
+                             idx n, const CaqrOptions& caqr_opt = {},
+                             const baselines::HybridQrOptions& hybrid_opt = {}) {
+  return predict_caqr_seconds<T>(model, m, n, caqr_opt) <=
+                 predict_hybrid_seconds<T>(model, m, n, hybrid_opt)
+             ? QrAlgorithm::Caqr
+             : QrAlgorithm::Hybrid;
+}
+
 // Shape-adaptive QR: factors A and returns explicit (Q, R). With Auto, the
 // algorithm is re-predicted on every call — repeated same-shape traffic
 // should go through serve::SolverPool / serve::PlanCache, which memoize
 // the selection and tuning per (shape, dtype, model fingerprint). Copies
-// its input (the factorization is destructive); requires backing storage,
-// i.e. functional inputs — for a ModelOnly cost estimate use the
-// predict_* functions above.
+// its input in Functional mode (the factorization is destructive); in
+// ModelOnly the input may be a Matrix::shape_only placeholder, nothing is
+// read, and Q and R come back shape_only. A CholeskyQR-family request
+// throws CholQrShapeError on a wide input and runs CAQR on an empty one.
 template <typename VA>
 QrSolveResult<view_scalar_t<VA>> adaptive_qr(
     gpusim::Device& dev, const VA& a_in, QrAlgorithm algo = QrAlgorithm::Auto,
@@ -117,33 +150,39 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
   const idx k = std::min(m, n);
 
   if (algo == QrAlgorithm::Auto) {
-    const double t_caqr = predict_caqr_seconds<T>(dev.model(), m, n, caqr_opt);
-    const double t_hybrid =
-        predict_hybrid_seconds<T>(dev.model(), m, n, hybrid_opt);
-    algo = t_caqr <= t_hybrid ? QrAlgorithm::Caqr : QrAlgorithm::Hybrid;
+    algo = pick_householder<T>(dev.model(), m, n, caqr_opt, hybrid_opt);
+  } else if (is_cholqr(algo) && k == 0) {
+    algo = QrAlgorithm::Caqr;  // the Householder paths handle empty shapes
+  } else if (is_cholqr(algo) && m < n) {
+    throw CholQrShapeError(m, n);
   }
 
+  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
+  Matrix<T> work =
+      functional ? Matrix<T>::from(a) : Matrix<T>::shape_only(m, n);
   const double t0 = dev.elapsed_seconds();
   QrSolveResult<T> out;
   out.used = algo;
   if (is_cholqr(algo)) {
-    auto res =
-        tsqr::cholqr(dev, Matrix<T>::from(a), cholqr_options_for(algo, caqr_opt));
+    auto res = tsqr::cholqr(dev, std::move(work),
+                            cholqr_options_for(algo, caqr_opt));
     out.q = std::move(res.q);
     out.r = std::move(res.r);
     out.severity = res.severity;
     out.cholqr_fallback = res.fell_back;
     out.run_status.severity = res.severity;
   } else if (algo == QrAlgorithm::Caqr) {
-    auto f = CaqrFactorization<T>::factor(dev, Matrix<T>::from(a), caqr_opt);
-    out.r = f.r();
+    auto f = CaqrFactorization<T>::factor(dev, std::move(work), caqr_opt);
+    out.r = functional ? f.r() : Matrix<T>::shape_only(k, n);
     out.q = f.form_q(dev, k);
     out.run_status = f.status();
     out.severity = out.run_status.severity;
   } else {
-    auto res = baselines::hybrid_qr(dev, Matrix<T>::from(a), hybrid_opt);
-    out.r = extract_r(res.factored.view());
-    out.q = form_q(res.factored.view(), res.tau.data(), k);
+    auto res = baselines::hybrid_qr(dev, std::move(work), hybrid_opt);
+    out.r = functional ? extract_r(res.factored.view())
+                       : Matrix<T>::shape_only(k, n);
+    out.q = functional ? form_q(res.factored.view(), res.tau.data(), k)
+                       : Matrix<T>::shape_only(m, k);
     // Forming Q costs roughly another factorization's worth of GEMM work.
     baselines::charge_gemm(dev, m, k, k, "hybrid_orgqr");
   }
@@ -163,32 +202,23 @@ Matrix<view_scalar_t<VA>> least_squares_solve(gpusim::Device& dev,
   const idx m = a.rows(), n = a.cols();
   CAQR_CHECK(m >= n && b.rows() == m);
 
-  if (algo == QrAlgorithm::Auto) {
-    algo = predict_caqr_seconds<T>(dev.model(), m, n) <=
-                   predict_hybrid_seconds<T>(dev.model(), m, n)
-               ? QrAlgorithm::Caqr
-               : QrAlgorithm::Hybrid;
-  }
+  if (algo == QrAlgorithm::Auto) algo = pick_householder<T>(dev.model(), m, n);
 
-  Matrix<T> x(n, b.cols());
+  Matrix<T> qtb = Matrix<T>::from(b);
+  Matrix<T> r;
   if (algo == QrAlgorithm::Caqr) {
     auto f = CaqrFactorization<T>::factor(dev, Matrix<T>::from(a));
-    Matrix<T> qtb = Matrix<T>::from(b);
     f.apply_qt(dev, qtb.view());
-    auto r = f.r();
-    x.view().copy_from(qtb.view().block(0, 0, n, b.cols()));
-    trsm(Side::Left, UpLo::Upper, Trans::No, r.view().block(0, 0, n, n),
-         x.view());
+    r = f.r();
   } else {
     auto res = baselines::hybrid_qr(dev, Matrix<T>::from(a));
-    Matrix<T> qtb = Matrix<T>::from(b);
     apply_q_left(res.factored.view().block(0, 0, m, n), res.tau.data(),
                  Trans::Yes, qtb.view());
-    auto r = extract_r(res.factored.view());
-    x.view().copy_from(qtb.view().block(0, 0, n, b.cols()));
-    trsm(Side::Left, UpLo::Upper, Trans::No, r.view().block(0, 0, n, n),
-         x.view());
+    r = extract_r(res.factored.view());
   }
+  Matrix<T> x = Matrix<T>::from(qtb.view().block(0, 0, n, b.cols()));
+  trsm(Side::Left, UpLo::Upper, Trans::No, r.view().block(0, 0, n, n),
+       x.view());
   return x;
 }
 

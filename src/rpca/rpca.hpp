@@ -228,8 +228,9 @@ template <typename T>
 double rpca_iteration_rate(gpusim::Device& dev, idx rows, idx cols,
                            const svd::TallSkinnySvdOptions& opt) {
   const double t0 = dev.elapsed_seconds();
-  Matrix<T> work(rows, cols);
-  if (dev.mode() == gpusim::ExecMode::Functional) work.view().fill(T(0));
+  const Matrix<T> work = dev.mode() == gpusim::ExecMode::Functional
+                             ? Matrix<T>::zeros(rows, cols)
+                             : Matrix<T>::shape_only(rows, cols);
   auto svt = svd::singular_value_threshold(dev, work.view(), T(1), opt);
   (void)svt;
   // Elementwise passes (L-step input, S-step, dual update): ~4 streaming

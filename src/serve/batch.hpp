@@ -84,13 +84,10 @@ BatchQrResult<T> factor_batch(gpusim::Device& dev,
   if (algo != QrAlgorithm::Caqr || k == 0) {
     // Hybrid models a library call and CholeskyQR is already three BLAS3
     // launches per pass — neither has a fusable CAQR launch structure, so
-    // they degrade to a per-problem loop.
-    // Empty problems (k == 0) route through the Householder paths, which
-    // handle degenerate shapes; CholeskyQR asserts tall non-empty inputs.
-    const QrAlgorithm per_problem =
-        k == 0 && is_cholqr(algo) ? QrAlgorithm::Caqr : algo;
+    // they degrade to a per-problem loop (adaptive_qr runs empty CholeskyQR
+    // problems through CAQR).
     for (auto& a : problems) {
-      out.problems.push_back(adaptive_qr(dev, a.as_const(), per_problem, opt));
+      out.problems.push_back(adaptive_qr(dev, a.as_const(), algo, opt));
     }
     out.simulated_seconds = dev.elapsed_seconds() - t0;
     return out;

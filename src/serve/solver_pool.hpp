@@ -122,7 +122,7 @@ struct PoolOptions {
   //    through here). Defaults: no injection, recovery off. --
   gpusim::FaultOptions fault;
   ft::FtOptions ft;
-  // A Functional solve that still reports Severity::Unrecovered after the
+  // A solve that still reports Severity::Unrecovered after the
   // device-level ladder is re-run on a freshly constructed CLEAN device (no
   // injector, same model/policy) up to this many times; the retry's
   // simulated time is charged to the worker's timeline as "solve_retry".
@@ -441,56 +441,34 @@ class SolverPool {
       return;
     }
 
+    // One dispatch on both clocks: adaptive_qr takes the ModelOnly pool's
+    // shape_only placeholders and charges what a Functional run pays.
     const double t0 = dev.elapsed_seconds();
-    if (dev.mode() == gpusim::ExecMode::Functional) {
-      resp.result = adaptive_qr(dev, a.view(), algo, opts);
-      // Solve-level retry: an Unrecovered outcome (the device-level ladder
-      // exhausted) is re-run on a freshly constructed CLEAN device — no
-      // injector, same model and recovery policy. The retry's simulated
-      // time is charged to the worker's timeline so simulated_seconds and
-      // busy accounting stay honest.
-      while (resp.result.run_status.severity == ft::Severity::Unrecovered &&
-             resp.solve_retries < opts_.max_solve_retries) {
-        ++resp.solve_retries;
-        gpusim::Device clean(opts_.model, opts_.mode);
-        clean.set_fault_tolerance(opts_.ft);
-        QrSolveResult<T> redo = adaptive_qr(clean, a.view(), algo, opts);
-        dev.add_external_seconds(clean.elapsed_seconds(), "solve_retry");
-        // The failed attempt's counters carry over; its Unrecovered
-        // severity does not — the retry superseded it, so the solve as a
-        // whole is at worst Corrected unless the retry also failed.
-        ft::RunStatus prior = resp.result.run_status;
-        prior.severity = ft::Severity::Corrected;
-        redo.run_status.merge(prior);
-        redo.severity = redo.run_status.severity;
-        resp.result = std::move(redo);
-      }
-      if (resp.solve_retries > 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        solve_retries_ += resp.solve_retries;
-      }
-    } else {
-      // ModelOnly: charge adaptive_qr's exact launch sequence on
-      // storage-free placeholders (adaptive_qr itself copies the input,
-      // which a shape_only matrix cannot back).
-      const idx k = std::min(m, n);
-      resp.result.used = algo;
-      if (is_cholqr(algo)) {
-        auto res = tsqr::cholqr(dev, Matrix<T>::shape_only(m, n),
-                                cholqr_options_for(algo, opts));
-        resp.result.q = std::move(res.q);
-        resp.result.r = std::move(res.r);
-      } else if (algo == QrAlgorithm::Caqr) {
-        auto f = CaqrFactorization<T>::factor(
-            dev, Matrix<T>::shape_only(m, n), opts);
-        resp.result.q = f.form_q(dev, k);
-      } else {
-        baselines::hybrid_qr(dev, Matrix<T>::shape_only(m, n));
-        baselines::charge_gemm(dev, m, k, k, "hybrid_orgqr");
-        resp.result.q = Matrix<T>::shape_only(m, k);
-      }
-      resp.result.r = Matrix<T>::shape_only(k, n);
-      resp.result.simulated_seconds = dev.elapsed_seconds() - t0;
+    resp.result = adaptive_qr(dev, a.view(), algo, opts);
+    // Solve-level retry: an Unrecovered outcome (the device-level ladder
+    // exhausted) is re-run on a freshly constructed CLEAN device — no
+    // injector, same model and recovery policy. The retry's simulated
+    // time is charged to the worker's timeline so simulated_seconds and
+    // busy accounting stay honest.
+    while (resp.result.run_status.severity == ft::Severity::Unrecovered &&
+           resp.solve_retries < opts_.max_solve_retries) {
+      ++resp.solve_retries;
+      gpusim::Device clean(opts_.model, opts_.mode);
+      clean.set_fault_tolerance(opts_.ft);
+      QrSolveResult<T> redo = adaptive_qr(clean, a.view(), algo, opts);
+      dev.add_external_seconds(clean.elapsed_seconds(), "solve_retry");
+      // The failed attempt's counters carry over; its Unrecovered
+      // severity does not — the retry superseded it, so the solve as a
+      // whole is at worst Corrected unless the retry also failed.
+      ft::RunStatus prior = resp.result.run_status;
+      prior.severity = ft::Severity::Corrected;
+      redo.run_status.merge(prior);
+      redo.severity = redo.run_status.severity;
+      resp.result = std::move(redo);
+    }
+    if (resp.solve_retries > 0) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      solve_retries_ += resp.solve_retries;
     }
     resp.simulated_seconds = dev.elapsed_seconds() - t0;
     resp.run_status = resp.result.run_status;
@@ -531,10 +509,7 @@ class SolverPool {
       }
     } else if (algo == QrAlgorithm::Auto) {
       // Verbatim options: resolve Auto by prediction only, no tuning.
-      algo = predict_caqr_seconds<T>(opts_.model, m, n, opts) <=
-                     predict_hybrid_seconds<T>(opts_.model, m, n)
-                 ? QrAlgorithm::Caqr
-                 : QrAlgorithm::Hybrid;
+      algo = pick_householder<T>(opts_.model, m, n, opts);
     }
   }
 

@@ -20,7 +20,7 @@
 
 #include "baselines/gemm_model.hpp"
 #include "baselines/qr_baselines.hpp"
-#include "caqr/caqr.hpp"
+#include "caqr/solver.hpp"
 #include "gpusim/device.hpp"
 #include "linalg/svd.hpp"
 
@@ -123,44 +123,36 @@ TallSkinnySvd<view_scalar_t<VA>> tall_skinny_svd(
   const ConstMatrixView<T> a = cview(a_in);
   const idx m = a.rows(), n = a.cols();
   CAQR_CHECK(m >= n && n >= 1);
-  TallSkinnySvd<T> out{Matrix<T>::zeros(m, n),
-                       std::vector<T>(static_cast<std::size_t>(n)),
-                       Matrix<T>::zeros(n, n)};
-
-  // Stage 1: A = Q R on the selected GPU backend. ModelOnly runs never read
-  // the input, so a storage-free placeholder stands in for the copy the
-  // factorization consumes (the input may itself be a placeholder).
+  // ModelOnly reads no data, so storage-free placeholders stand in for every
+  // m x n buffer (the input may itself be one).
   const bool functional = dev.mode() == gpusim::ExecMode::Functional;
-  auto working_copy = [&] {
-    return functional ? Matrix<T>::from(a) : Matrix<T>::shape_only(m, n);
-  };
-  Matrix<T> r(n, n);
-  Matrix<T> q(0, 0);
+  TallSkinnySvd<T> out{
+      functional ? Matrix<T>::zeros(m, n) : Matrix<T>::shape_only(m, n),
+      std::vector<T>(static_cast<std::size_t>(n)), Matrix<T>::zeros(n, n)};
+
+  // Stage 1: A = Q R on the selected GPU backend.
+  Matrix<T> q, r;
   if (opt.backend == QrBackend::Caqr) {
     if (opt.qr_hook != nullptr && functional) {
       // Serving-layer route: the hook factors with the same options, so
       // (Q, R) are bit-identical to the inline path below; its device time
       // is charged to this timeline as one external op.
-      Matrix<T> qh(0, 0), rh(0, 0);
-      const double sim = opt.qr_hook->qr(a, opt.caqr, qh, rh);
+      const double sim = opt.qr_hook->qr(a, opt.caqr, q, r);
       dev.add_external_seconds(sim, "pooled_qr");
-      q = std::move(qh);
-      r.view().copy_from(rh.view().block(0, 0, n, n));
     } else {
-      auto f = CaqrFactorization<T>::factor(dev, working_copy(), opt.caqr);
       // Explicit Q (paper: SORGQR via CAQR costs about as much as the
-      // factorization itself); in ModelOnly this only charges the timeline.
-      q = f.form_q(dev, n);
-      if (dev.mode() == gpusim::ExecMode::Functional) {
-        r.view().copy_from(f.r().view().block(0, 0, n, n));
-      }
+      // factorization itself) — the call a PooledQrHook worker makes.
+      QrSolveResult<T> res = adaptive_qr(dev, a, QrAlgorithm::Caqr, opt.caqr);
+      q = std::move(res.q);
+      r = std::move(res.r);
     }
   } else {
-    auto res = baselines::gpu_blas2_qr(dev, working_copy(), opt.blas2);
-    if (dev.mode() == gpusim::ExecMode::Functional) {
-      r.view().copy_from(extract_r(res.factored.view()).view().block(0, 0, n, n));
-      q = form_q(res.factored.view(), res.tau.data(), n);
-    }
+    auto res = baselines::gpu_blas2_qr(
+        dev, functional ? Matrix<T>::from(a) : Matrix<T>::shape_only(m, n),
+        opt.blas2);
+    r = functional ? extract_r(res.factored.view())
+                   : Matrix<T>::shape_only(n, n);
+    if (functional) q = form_q(res.factored.view(), res.tau.data(), n);
     // Forming Q for the BLAS2 backend costs another bandwidth-bound sweep.
     baselines::GpuBlas2QrOptions orgqr = opt.blas2;
     orgqr.label = "blas2_orgqr";
@@ -169,7 +161,7 @@ TallSkinnySvd<view_scalar_t<VA>> tall_skinny_svd(
 
   // Stage 2: small SVD of R on the CPU.
   SvdResult<T> rs = small_svd_of_r(dev, r.view(), opt);
-  if (dev.mode() == gpusim::ExecMode::Functional) {
+  if (functional) {
     out.small_svd_converged = rs.converged;
     out.sigma = rs.sigma;
     out.v = std::move(rs.v);
@@ -177,7 +169,7 @@ TallSkinnySvd<view_scalar_t<VA>> tall_skinny_svd(
 
   // Stage 3: U' = Q * U on the GPU.
   baselines::charge_gemm(dev, m, n, n, "gpu_gemm_qu");
-  if (dev.mode() == gpusim::ExecMode::Functional) {
+  if (functional) {
     gemm(Trans::No, Trans::No, T(1), q.view(), rs.u.view(), T(0),
          out.u.view());
   }
@@ -202,9 +194,12 @@ SvtResult<view_scalar_t<VA>> singular_value_threshold(
   const ConstMatrixView<T> a = cview(a_in);
   const idx m = a.rows(), n = a.cols();
   auto f = tall_skinny_svd(dev, a, opt);
-  SvtResult<T> out{Matrix<T>::zeros(m, n), 0, f.small_svd_converged};
+  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
+  SvtResult<T> out{
+      functional ? Matrix<T>::zeros(m, n) : Matrix<T>::shape_only(m, n), 0,
+      f.small_svd_converged};
 
-  if (dev.mode() != gpusim::ExecMode::Functional) {
+  if (!functional) {
     // Charge the U * diag(shrunk sigma) * V^T reconstruction.
     baselines::charge_gemm(dev, m, n, n, "gpu_gemm_svt");
     return out;

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/profile.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random_matrix.hpp"
 #include "rpca/rpca.hpp"
@@ -143,6 +144,24 @@ TEST(Rpca, CaqrIterationRateMatchesTableII) {
   const double rate =
       rpca::rpca_iteration_rate<float>(dev, 110592, 100, caqr_opt);
   EXPECT_NEAR(rate, 27.0, 2.7);
+}
+
+// A ModelOnly rate run reads no data, so it allocates none of the m x n
+// frame-sized buffers (the work matrix, the SVD's U, the SVT value): the
+// 110,592 x 100 run stays under 1 MiB on either backend. The CAQR rate is
+// the Table II figure, 27.304 it/s, to the last bit.
+TEST(Rpca, ModelOnlyIterationRateAllocatesNoFrameData) {
+  for (const auto backend : {svd::QrBackend::Caqr, svd::QrBackend::GpuBlas2}) {
+    svd::TallSkinnySvdOptions opt;
+    opt.backend = backend;
+    Device dev(GpuMachineModel::gtx480(), ExecMode::ModelOnly);
+    const long long b0 = prof::allocation_bytes();
+    const double rate = rpca::rpca_iteration_rate<float>(dev, 110592, 100, opt);
+    EXPECT_LT(prof::allocation_bytes() - b0, 1 << 20);
+    if (backend == svd::QrBackend::Caqr) {
+      EXPECT_EQ(rate, 0x1.b4dd983460ce2p+4);
+    }
+  }
 }
 
 TEST(Rpca, SimulatedSecondsPerIterationPositive) {

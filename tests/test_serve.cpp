@@ -376,32 +376,99 @@ TEST(SolverPool, PlanCacheHitOnRepeatedShape) {
   EXPECT_EQ(pool.plan_cache().misses(), 1);
 }
 
-// A planned CAQR request charges the same simulated time whether the pool
-// runs the arithmetic or only the model: both form Q through form_q.
+// A planned request charges the same simulated time whether the pool runs
+// the arithmetic or only the model: both modes serve through adaptive_qr.
+// Covers every algorithm (the mixed-precision Gram pass needs the A100).
 TEST(SolverPool, ModelOnlyCaqrChargesEqualFunctional) {
   const idx m = 4096, n = 64;
-  RequestOptions req;
-  req.algo = QrAlgorithm::Caqr;
-  auto serve = [&](ExecMode mode) {
-    PoolOptions po;
-    po.workers = 1;
-    po.mode = mode;
-    SolverPool pool(po);
-    return pool
-        .submit(mode == ExecMode::Functional
-                    ? gaussian_matrix<float>(m, n, 77)
-                    : Matrix<float>::shape_only(m, n),
-                req)
-        .get();
+  const std::pair<GpuMachineModel, QrAlgorithm> cases[] = {
+      {GpuMachineModel::c2050(), QrAlgorithm::Caqr},
+      {GpuMachineModel::c2050(), QrAlgorithm::Hybrid},
+      {GpuMachineModel::c2050(), QrAlgorithm::CholeskyQr2},
+      {GpuMachineModel::c2050(), QrAlgorithm::CholeskyQr3},
+      {GpuMachineModel::a100(), QrAlgorithm::CholeskyQr2Mixed},
   };
-  const QrResponse<float> fr = serve(ExecMode::Functional);
-  const QrResponse<float> mr = serve(ExecMode::ModelOnly);
-  ASSERT_EQ(fr.status, RequestStatus::Done);
-  ASSERT_EQ(mr.status, RequestStatus::Done);
-  EXPECT_EQ(fr.result.used, QrAlgorithm::Caqr);
-  EXPECT_EQ(mr.result.used, QrAlgorithm::Caqr);
-  EXPECT_GT(mr.simulated_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(fr.simulated_seconds, mr.simulated_seconds);
+  for (const auto& [model, algo] : cases) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    RequestOptions req;
+    req.algo = algo;
+    auto serve = [&](ExecMode mode) {
+      PoolOptions po;
+      po.workers = 1;
+      po.mode = mode;
+      po.model = model;
+      SolverPool pool(po);
+      return pool
+          .submit(mode == ExecMode::Functional
+                      ? gaussian_matrix<float>(m, n, 77)
+                      : Matrix<float>::shape_only(m, n),
+                  req)
+          .get();
+    };
+    const QrResponse<float> fr = serve(ExecMode::Functional);
+    const QrResponse<float> mr = serve(ExecMode::ModelOnly);
+    ASSERT_EQ(fr.status, RequestStatus::Done);
+    ASSERT_EQ(mr.status, RequestStatus::Done);
+    EXPECT_EQ(fr.result.used, algo);
+    EXPECT_EQ(mr.result.used, algo);
+    EXPECT_GT(mr.simulated_seconds, 0.0);
+    EXPECT_EQ(fr.simulated_seconds, mr.simulated_seconds);
+  }
+}
+
+// The fused batch's per-problem loop (every algorithm but CAQR) serves
+// ModelOnly placeholders through adaptive_qr too, and charges what the
+// Functional batch charges. An Auto request with a condition estimate of 10
+// plans a CholeskyQR variant.
+TEST(ModelOnlyParity, SubmitBatchMatchesFunctional) {
+  const idx m = 4096, n = 32;
+  for (const auto algo : {QrAlgorithm::Hybrid, QrAlgorithm::CholeskyQr2,
+                          QrAlgorithm::Auto}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    RequestOptions req;
+    req.algo = algo;
+    req.cond_estimate = 10;
+    auto serve = [&](ExecMode mode) {
+      PoolOptions po;
+      po.workers = 1;
+      po.mode = mode;
+      SolverPool pool(po);
+      std::vector<Matrix<float>> probs;
+      for (int i = 0; i < 2; ++i) {
+        probs.push_back(mode == ExecMode::Functional
+                            ? gaussian_matrix<float>(m, n, 500 + i)
+                            : Matrix<float>::shape_only(m, n));
+      }
+      return pool.submit_batch(std::move(probs), req).get();
+    };
+    const BatchResponse<float> fr = serve(ExecMode::Functional);
+    const BatchResponse<float> mr = serve(ExecMode::ModelOnly);
+    ASSERT_EQ(fr.status, RequestStatus::Done);
+    ASSERT_EQ(mr.status, RequestStatus::Done);
+    EXPECT_EQ(mr.result.used, fr.result.used);
+    if (algo == QrAlgorithm::Auto) {
+      EXPECT_TRUE(is_cholqr(mr.result.used));
+    }
+    ASSERT_EQ(mr.result.problems.size(), 2u);
+    EXPECT_GT(mr.result.simulated_seconds, 0.0);
+    EXPECT_EQ(mr.result.simulated_seconds, fr.result.simulated_seconds);
+  }
+}
+
+// A wide CholeskyQR request is a typed error delivered through its future;
+// the worker survives and serves the next request.
+TEST(SolverPool, WideCholeskyQrFailsTypedAndPoolServesOn) {
+  PoolOptions po;
+  po.workers = 1;
+  SolverPool pool(po);
+  RequestOptions req;
+  req.algo = QrAlgorithm::CholeskyQr2;
+  auto wide = pool.submit(gaussian_matrix<float>(16, 32, 78), req);
+  EXPECT_THROW(wide.get(), CholQrShapeError);
+
+  const auto next = pool.submit(gaussian_matrix<float>(256, 16, 79)).get();
+  EXPECT_EQ(next.status, RequestStatus::Done);
+  EXPECT_EQ(next.result.q.rows(), 256);
 }
 
 TEST(SolverPool, DeterministicAcrossWorkerCounts) {

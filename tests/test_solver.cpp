@@ -165,5 +165,77 @@ TEST(RefinedLeastSquares, RefinementImprovesOnSingleFloatSolve) {
   EXPECT_LT(err5, err0 * 1e-2);
 }
 
+// ------------------------------------------- ModelOnly == Functional parity
+
+// adaptive_qr is the one algorithm -> launches dispatch on both clocks: a
+// ModelOnly run on a shape_only placeholder issues the Functional run's
+// launches, kernel by kernel, charges its simulated seconds bit for bit, and
+// returns storage-free factors of the same shapes.
+template <typename T>
+void expect_model_only_parity(const GpuMachineModel& model, QrAlgorithm algo) {
+  const idx m = 2048, n = 32;
+  Device fdev(model, ExecMode::Functional);
+  Device mdev(model, ExecMode::ModelOnly);
+  const auto a = gaussian_matrix<T>(m, n, 21);
+  const auto fr = adaptive_qr(fdev, a.view(), algo);
+  const auto mr = adaptive_qr(mdev, Matrix<T>::shape_only(m, n).view(), algo);
+  EXPECT_EQ(mr.used, fr.used);
+  EXPECT_GT(mr.simulated_seconds, 0.0);
+  EXPECT_EQ(mr.simulated_seconds, fr.simulated_seconds);
+  EXPECT_EQ(mr.q.rows(), fr.q.rows());
+  EXPECT_EQ(mr.q.cols(), fr.q.cols());
+  EXPECT_EQ(mr.r.rows(), fr.r.rows());
+  EXPECT_EQ(mr.r.cols(), fr.r.cols());
+  EXPECT_EQ(mr.q.data(), nullptr);
+  EXPECT_EQ(mr.r.data(), nullptr);
+  const auto fp = fdev.profiles();
+  const auto mp = mdev.profiles();
+  ASSERT_EQ(mp.size(), fp.size());
+  for (std::size_t i = 0; i < fp.size(); ++i) {
+    EXPECT_EQ(mp[i].name, fp[i].name);
+    EXPECT_EQ(mp[i].launches, fp[i].launches) << fp[i].name;
+  }
+}
+
+TEST(ModelOnlyParity, AdaptiveQrC2050) {
+  for (const auto algo : {QrAlgorithm::Auto, QrAlgorithm::Caqr,
+                          QrAlgorithm::Hybrid, QrAlgorithm::CholeskyQr2,
+                          QrAlgorithm::CholeskyQr3}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    expect_model_only_parity<float>(GpuMachineModel::c2050(), algo);
+    expect_model_only_parity<double>(GpuMachineModel::c2050(), algo);
+  }
+}
+
+TEST(ModelOnlyParity, AdaptiveQrA100) {
+  for (const auto algo : {QrAlgorithm::Caqr, QrAlgorithm::Hybrid,
+                          QrAlgorithm::CholeskyQr2, QrAlgorithm::CholeskyQr3,
+                          QrAlgorithm::CholeskyQr2Mixed}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    expect_model_only_parity<float>(GpuMachineModel::a100(), algo);
+  }
+}
+
+// CholeskyQR needs rows >= cols: a wide request is a typed error, never an
+// abort, and an empty one runs CAQR (the Householder paths handle it).
+TEST(AdaptiveQr, CholeskyQrShapeRules) {
+  Device dev;
+  const auto wide = gaussian_matrix<float>(16, 32, 22);
+  try {
+    (void)adaptive_qr(dev, wide.view(), QrAlgorithm::CholeskyQr2);
+    ADD_FAILURE() << "wide CholeskyQR did not throw";
+  } catch (const CholQrShapeError& e) {
+    EXPECT_EQ(e.rows, 16);
+    EXPECT_EQ(e.cols, 32);
+  }
+  // The Householder algorithms still factor the wide input.
+  EXPECT_EQ(adaptive_qr(dev, wide.view(), QrAlgorithm::Caqr).r.cols(), 32);
+
+  const Matrix<float> empty(16, 0);
+  const auto res = adaptive_qr(dev, empty.view(), QrAlgorithm::CholeskyQr3);
+  EXPECT_EQ(res.used, QrAlgorithm::Caqr);
+  EXPECT_EQ(res.r.rows(), 0);
+}
+
 }  // namespace
 }  // namespace caqr
