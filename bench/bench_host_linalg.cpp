@@ -9,6 +9,8 @@
 
 #include <vector>
 
+#include "common/prng.hpp"
+#include "gpusim/device.hpp"
 #include "kernels/block_ops.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/blas3.hpp"
@@ -16,6 +18,8 @@
 #include "linalg/qr.hpp"
 #include "linalg/random_matrix.hpp"
 #include "linalg/svd.hpp"
+#include "stream/sliding_window_qr.hpp"
+#include "svd/tall_skinny_svd.hpp"
 
 namespace {
 
@@ -182,6 +186,44 @@ void BM_JacobiSvdSmall(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_JacobiSvdSmall, double)->Arg(32)->Arg(100);
 BENCHMARK_TEMPLATE(BM_JacobiSvdSmall, float)->Arg(64)->Arg(100);
+
+void BM_StreamLeadingSubspace(benchmark::State& state) {
+  // The stream's per-frame background subspace: the seeded subspace
+  // iteration on a 64 x 64 camera-window R (16 frames of 160 x 64: a rank-2
+  // background at 0.1, a 0.5 offset with 0.01 noise, a moving bright
+  // block), the end-to-end stream_cameras shape. Compare with
+  // BM_JacobiSvdSmall<float>/64, the full SVD it replaces.
+  constexpr idx kRows = 160, kCols = 64;
+  gpusim::Device dev;
+  stream::SlidingWindowQr<float> win(kCols);
+  const auto u = gaussian_matrix<float>(kRows, 2, 7919);
+  const auto v = gaussian_matrix<float>(kCols, 2, 8016);
+  Rng noise(41);
+  for (idx f = 0; f < 16; ++f) {
+    Matrix<float> frame = Matrix<float>::zeros(kRows, kCols);
+    gemm(Trans::No, Trans::Yes, 0.1f, u.view(), v.view(), 0.0f, frame.view());
+    for (idx j = 0; j < kCols; ++j) {
+      for (idx i = 0; i < kRows; ++i) {
+        frame(i, j) += 0.5f + 0.01f * static_cast<float>(noise.normal());
+      }
+    }
+    for (idx j = f; j < f + 8; ++j) {
+      for (idx i = 3 * f; i < 3 * f + 16; ++i) frame(i, j) += 0.8f;
+    }
+    win.append(dev, frame.view());
+  }
+  const Matrix<float>& r = win.r(dev);
+  svd::SubspaceWorkspace<float> ws(kCols);
+  int steps = 0;
+  for (auto _ : state) {
+    const auto ls = svd::leading_subspace_of_r(r.view(), 0.95, ws);
+    if (!ls.converged) state.SkipWithError("subspace iteration fell back");
+    steps = ls.steps;
+    benchmark::DoNotOptimize(ls.v.data());
+  }
+  state.counters["steps"] = steps;
+}
+BENCHMARK(BM_StreamLeadingSubspace);
 
 void BM_StackedGeqr2(benchmark::State& state) {
   // The factor_tree kernel core: a quad-tree combine of 16-wide triangles.

@@ -56,7 +56,10 @@ struct Cell {
   int problems = 0;
   double wall = 0;          // host seconds, submit to drain
   double sim_makespan = 0;  // max simulated busy seconds over workers
-  double sim_busy = 0;      // total simulated busy seconds, all workers
+  // Total simulated seconds of every response, summed in submission order:
+  // each response's time is its own fresh timeline, so the sum does not
+  // depend on how host scheduling split the work across workers.
+  double sim_busy = 0;
   long long hits = 0;
   long long misses = 0;
   idx fused_launches = 0;
@@ -92,7 +95,9 @@ Cell run_config(idx m, idx n, int problems, int workers, int batch,
       futs.push_back(pool.submit(Matrix<float>::shape_only(m, n), req));
     }
     for (auto& f : futs) {
-      if (f.get().status != RequestStatus::Done) std::abort();
+      const QrResponse<float> resp = f.get();
+      if (resp.status != RequestStatus::Done) std::abort();
+      c.sim_busy += resp.simulated_seconds;
     }
   } else {
     std::vector<std::future<BatchResponse<float>>> futs;
@@ -108,6 +113,7 @@ Cell run_config(idx m, idx n, int problems, int workers, int batch,
     for (auto& f : futs) {
       BatchResponse<float> resp = f.get();
       if (resp.status != RequestStatus::Done) std::abort();
+      c.sim_busy += resp.result.simulated_seconds;
       c.fused_launches += resp.result.fused_launches;
     }
   }
@@ -115,7 +121,6 @@ Cell run_config(idx m, idx n, int problems, int workers, int batch,
   c.wall = wall_seconds() - t0;
   const PoolStats stats = pool.stats();
   c.sim_makespan = stats.makespan_simulated_seconds();
-  for (double s : stats.worker_busy_simulated_seconds) c.sim_busy += s;
   c.hits = pool.plan_cache().hits();
   c.misses = pool.plan_cache().misses();
   return c;

@@ -190,8 +190,10 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
   return out;
 }
 
-// Least-squares solve min ||A x - B||_F for tall A through the adaptive QR:
-// X = R^{-1} (Q^T B)(1:n). B may have multiple right-hand sides.
+// Least-squares solve min ||A x - B||_F for tall A through the requested
+// QR: X = R^{-1} (Q^T B)(1:n). B may have multiple right-hand sides. CAQR
+// and the hybrid apply Q^T implicitly; a CholeskyQR-family algorithm runs
+// through adaptive_qr and multiplies by its explicit Q.
 template <typename VA, typename VB>
 Matrix<view_scalar_t<VA>> least_squares_solve(gpusim::Device& dev,
                                               const VA& a_in, const VB& b_in,
@@ -206,7 +208,12 @@ Matrix<view_scalar_t<VA>> least_squares_solve(gpusim::Device& dev,
 
   Matrix<T> qtb = Matrix<T>::from(b);
   Matrix<T> r;
-  if (algo == QrAlgorithm::Caqr) {
+  if (is_cholqr(algo)) {
+    auto res = adaptive_qr(dev, a, algo);
+    gemm(Trans::Yes, Trans::No, T(1), res.q.view(), b, T(0),
+         qtb.view().block(0, 0, n, b.cols()));
+    r = std::move(res.r);
+  } else if (algo == QrAlgorithm::Caqr) {
     auto f = CaqrFactorization<T>::factor(dev, Matrix<T>::from(a));
     f.apply_qt(dev, qtb.view());
     r = f.r();

@@ -98,13 +98,19 @@ void rotate(idx m, T* x, T* y, T c, T s) {
   }
 }
 
+// How a run of sweeps ended.
+struct SweepStatus {
+  int sweeps = 0;  // Jacobi sweeps run
+  bool converged = false;
+};
+
 // Cyclic sweeps over the column pairs of w (m x n), accumulating the
 // rotations into v, until a sweep rotates nothing or max_sweeps ran.
 // Dot(m, x, y) and Rotate(m, x, y, c, s) are the vector or scalar
 // primitives; norm2 has room for n squared column norms.
 template <typename T, typename Dot, typename Rotate>
 void sweeps(MatrixView<T> w, MatrixView<T> v, int max_sweeps, T* norm2,
-            SvdResult<T>& out, Dot dot, Rotate rotate) {
+            SweepStatus& out, Dot dot, Rotate rotate) {
   const idx m = w.rows(), n = w.cols();
   const T tol = std::sqrt(static_cast<T>(m)) * std::numeric_limits<T>::epsilon();
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
@@ -149,17 +155,19 @@ void sweeps(MatrixView<T> w, MatrixView<T> v, int max_sweeps, T* norm2,
   }
 }
 
-// The thin SVD; isa is used for float and double only.
+// The thin SVD in place, allocating nothing: w (m x n, m >= n) holds A on
+// entry and U on return, v (n x n) receives V, sigma (n) the singular
+// values in descending order; norm2 (n) is scratch. isa is used for float
+// and double only.
 template <typename T>
-SvdResult<T> thin_svd(Isa isa, ConstMatrixView<T> a, int max_sweeps) {
-  const idx m = a.rows(), n = a.cols();
-  CAQR_CHECK(m >= n);
+SweepStatus svd_in_place(Isa isa, MatrixView<T> w, MatrixView<T> v, T* sigma,
+                         T* norm2, int max_sweeps) {
+  const idx m = w.rows(), n = w.cols();
+  CAQR_CHECK(m >= n && v.rows() == n && v.cols() == n);
 
-  CAQR_GUARD_FINITE(a, "jacobi_svd:input");
-  SvdResult<T> out{Matrix<T>::from(a), std::vector<T>(static_cast<std::size_t>(n)),
-                   Matrix<T>::identity(n, n), 0, false};
-  MatrixView<T> w = out.u.view();
-  MatrixView<T> v = out.v.view();
+  CAQR_GUARD_FINITE(w.as_const(), "jacobi_svd:input");
+  v.set_identity();
+  SweepStatus out;
 
   // Equilibrate extreme inputs to a safe range: the rotations work on
   // squared column norms, which overflow/underflow for max|A| outside
@@ -184,17 +192,16 @@ SvdResult<T> thin_svd(Isa isa, ConstMatrixView<T> a, int max_sweeps) {
     }
   }
 
-  // Working values only: the singular values below are recomputed from the
-  // final columns.
-  std::vector<T> norm2(static_cast<std::size_t>(n));
+  // norm2 holds working values only: the singular values below are
+  // recomputed from the final columns.
   if constexpr (kernels::simd::kEnabled<T>) {
     kernels::simd::run_at(isa, [&]<Isa I>() {
-      sweeps(w, v, max_sweeps, norm2.data(), out,
+      sweeps(w, v, max_sweeps, norm2, out,
              [](idx k, const T* x, const T* y) { return dot<I>(k, x, y); },
              [](idx k, T* x, T* y, T c, T s) { rotate<I>(k, x, y, c, s); });
     });
   } else {
-    sweeps(w, v, max_sweeps, norm2.data(), out,
+    sweeps(w, v, max_sweeps, norm2, out,
            [](idx k, const T* x, const T* y) { return caqr::dot(k, x, y); },
            [](idx k, T* x, T* y, T c, T s) {
              for (idx i = 0; i < k; ++i) {
@@ -210,7 +217,7 @@ SvdResult<T> thin_svd(Isa isa, ConstMatrixView<T> a, int max_sweeps) {
   for (idx j = 0; j < n; ++j) {
     T* wj = w.col(j);
     const T sj = nrm2(m, wj);
-    out.sigma[static_cast<std::size_t>(j)] = sj * inv_scale;
+    sigma[j] = sj * inv_scale;
     if (sj > T(0)) scal(m, T(1) / sj, wj);
   }
 
@@ -218,20 +225,30 @@ SvdResult<T> thin_svd(Isa isa, ConstMatrixView<T> a, int max_sweeps) {
   for (idx i = 0; i < n; ++i) {
     idx best = i;
     for (idx j = i + 1; j < n; ++j) {
-      if (out.sigma[static_cast<std::size_t>(j)] >
-          out.sigma[static_cast<std::size_t>(best)]) {
-        best = j;
-      }
+      if (sigma[j] > sigma[best]) best = j;
     }
     if (best != i) {
-      std::swap(out.sigma[static_cast<std::size_t>(i)],
-                out.sigma[static_cast<std::size_t>(best)]);
+      std::swap(sigma[i], sigma[best]);
       for (idx r = 0; r < m; ++r) std::swap(w(r, i), w(r, best));
       for (idx r = 0; r < n; ++r) std::swap(v(r, i), v(r, best));
     }
   }
-  CAQR_GUARD_FINITE(out.u.view(), "jacobi_svd:u");
-  CAQR_GUARD_FINITE(out.v.view(), "jacobi_svd:v");
+  CAQR_GUARD_FINITE(w.as_const(), "jacobi_svd:u");
+  CAQR_GUARD_FINITE(v.as_const(), "jacobi_svd:v");
+  return out;
+}
+
+// The thin SVD of a (m x n, m >= n) into fresh storage.
+template <typename T>
+SvdResult<T> thin_svd(Isa isa, ConstMatrixView<T> a, int max_sweeps) {
+  const idx n = a.cols();
+  SvdResult<T> out{Matrix<T>::from(a), std::vector<T>(static_cast<std::size_t>(n)),
+                   Matrix<T>(n, n), 0, false};
+  std::vector<T> norm2(static_cast<std::size_t>(n));
+  const SweepStatus s = svd_in_place(isa, out.u.view(), out.v.view(),
+                                     out.sigma.data(), norm2.data(), max_sweeps);
+  out.sweeps = s.sweeps;
+  out.converged = s.converged;
   return out;
 }
 
@@ -250,6 +267,18 @@ SvdResult<view_scalar_t<VA>> jacobi_svd_at(kernels::simd::Isa isa,
 template <typename VA>
 SvdResult<view_scalar_t<VA>> jacobi_svd(const VA& a, int max_sweeps = 60) {
   return jacobi_svd_at(kernels::simd::active_isa(), a, max_sweeps);
+}
+
+// jacobi_svd into caller storage, allocating nothing: w (m x n, m >= n)
+// holds A on entry and U on return, v (n x n) receives V, sigma (n) the
+// singular values in descending order; norm2 (n) is scratch. The same bits
+// as jacobi_svd.
+template <typename T>
+jacobi::SweepStatus jacobi_svd_in_place(MatrixView<T> w, MatrixView<T> v,
+                                        T* sigma, T* norm2,
+                                        int max_sweeps = 60) {
+  return jacobi::svd_in_place(kernels::simd::active_isa(), w, v, sigma, norm2,
+                              max_sweeps);
 }
 
 }  // namespace caqr

@@ -11,10 +11,14 @@
 //   1. evict the oldest frame block + append the new one (SlidingWindowQr:
 //      amortized one panel factor + O(1) combines, vs a full window refactor
 //      per SVT iteration in the batch path);
-//   2. small SVD of the window R (svd::small_svd_of_r — stage 2 of the
-//      tall-skinny pipeline, identical charge);
-//   3. background subspace V_k = leading right singular vectors capturing
-//      `rank_energy` of the spectral energy; low-rank part of the new frame
+//   2. background subspace V_k = leading right singular vectors of the
+//      window R capturing `rank_energy` of ||R||_F^2, found by a seeded
+//      block subspace iteration (svd::leading_subspace_of_r, a few n x 8
+//      products); when it does not settle, the full Jacobi SVD of R runs
+//      instead, flagged per frame and counted ("stream.svd_fallbacks").
+//      Either way the device is charged the small SVD of stage 2 of the
+//      tall-skinny pipeline, so ModelOnly timelines are unchanged;
+//   3. low-rank part of the new frame
 //      L = f V_k V_k^T (two skinny GEMMs), sparse part S = shrink(f - L),
 //      with the batch solver's default lambda at the frame's row count.
 //
@@ -81,6 +85,9 @@ struct FrameOutput {
   bool warmup = false;   // window still under `cols` rows; no SVD ran
   bool drift_refactor = false;  // this frame triggered a full refactor
   bool svd_converged = true;
+  // The subspace iteration did not settle and the full Jacobi SVD of the
+  // window R ran instead (also counted in "stream.svd_fallbacks").
+  bool svd_fallback = false;
   double simulated_seconds = 0.0;  // device time this frame consumed
 };
 
@@ -88,7 +95,7 @@ template <typename T>
 class OnlineRpca {
  public:
   explicit OnlineRpca(const OnlineRpcaOptions& opt)
-      : opt_(opt), window_(opt.cols, opt.variant) {
+      : opt_(opt), window_(opt.cols, opt.variant), subspace_(opt.cols) {
     CAQR_CHECK(opt.cols >= 1 && opt.frame_rows >= 1 && opt.window_frames >= 1);
     CAQR_CHECK(opt.frame_rows * opt.window_frames >= opt.cols);
   }
@@ -145,25 +152,37 @@ class OnlineRpca {
       }
     }
 
-    // Small SVD of the window R -> background subspace -> frame split.
-    const auto rs = svd::small_svd_of_r(dev, window_.r(dev).view(), svd_opt());
+    // Background subspace of the window R -> frame split. The charge is the
+    // full small SVD's whichever path computes the subspace, and the window
+    // R is read (a lazy combine, charged) in both modes, so ModelOnly
+    // timelines equal Functional ones.
+    const Matrix<T>& r = window_.r(dev);
+    svd::charge_small_svd(dev, opt_.cols, opt_.cpu_svd_gflops);
     baselines::charge_gemm(dev, opt_.frame_rows, opt_.cols, opt_.cols,
                            "stream_project");
     if (functional) {
-      out.svd_converged = rs.converged;
-      double total = 0.0, cum = 0.0;
-      for (const T s : rs.sigma) total += static_cast<double>(s) * s;
-      idx k = 0;
-      while (k < opt_.cols && cum < opt_.rank_energy * total) {
-        const double s = static_cast<double>(rs.sigma[static_cast<std::size_t>(k)]);
-        cum += s * s;
-        ++k;
+      const auto ls =
+          svd::leading_subspace_of_r(r.view(), opt_.rank_energy, subspace_);
+      SvdResult<T> full;
+      ConstMatrixView<T> vk = ls.v;
+      out.rank = ls.rank;
+      if (!ls.converged) {
+        full = jacobi_svd(r.view(), opt_.svd_max_sweeps);
+        out.svd_converged = full.converged;
+        out.svd_fallback = true;
+        static prof::Counter& fallbacks = prof::counter("stream.svd_fallbacks");
+        fallbacks.add(1);
+        double total = 0.0;
+        for (const T s : full.sigma) total += static_cast<double>(s) * s;
+        out.rank = std::max<idx>(
+            svd::energy_rank(full.sigma.data(), opt_.cols,
+                             opt_.rank_energy * total),
+            1);
+        vk = full.v.view().block(0, 0, opt_.cols, out.rank);
       }
-      out.rank = std::max<idx>(k, 1);
 
       // L = (f V_k) V_k^T: two skinny GEMMs against the k leading right
       // singular vectors (charged above as one cols-wide projection).
-      const auto vk = rs.v.view().block(0, 0, opt_.cols, out.rank);
       Matrix<T> proj = Matrix<T>::zeros(opt_.frame_rows, out.rank);
       gemm(Trans::No, Trans::No, T(1), frame, vk, T(0), proj.view());
       gemm(Trans::No, Trans::Yes, T(1), proj.view(), vk, T(0),
@@ -285,13 +304,6 @@ class OnlineRpca {
   }
 
  private:
-  svd::TallSkinnySvdOptions svd_opt() const {
-    svd::TallSkinnySvdOptions o;
-    o.svd_max_sweeps = opt_.svd_max_sweeps;
-    o.cpu_svd_gflops = opt_.cpu_svd_gflops;
-    return o;
-  }
-
   static double frob_sq(ConstMatrixView<T> a) {
     const double f = frobenius_norm(a);
     return f * f;
@@ -318,6 +330,9 @@ class OnlineRpca {
   double window_sq_ = 0.0;        // running sum of squared frame norms
   std::int64_t frames_seen_ = 0;
   std::vector<DriftEvent> drift_events_;
+  // Start block and scratch of the per-frame subspace iteration; holds no
+  // state between frames (not checkpointed).
+  svd::SubspaceWorkspace<T> subspace_;
 };
 
 }  // namespace caqr::stream

@@ -11,8 +11,8 @@
 //     -> worker dequeues                     (deficit round-robin)
 //        [deadline re-check at dequeue and after planning]
 //     -> OnlineRpca::consume on the worker's device
-//        (window evict+append -> small SVD of R -> L/S split; factor-drift
-//         refactor when the Gram detector trips)
+//        (window evict+append -> leading subspace of R -> L/S split;
+//         factor-drift refactor when the Gram detector trips)
 //     -> per-stream latency histogram + simulated-seconds accounting
 //
 // Frames are deterministic functions of (stream seed, frame index) through

@@ -1,5 +1,6 @@
 // Golden bits of CAQR: FNV-1a hashes of the column-major bytes of Q and R
-// for fixed seeded inputs under the default options on the C2050 model.
+// for fixed seeded inputs under the default options on the C2050 model,
+// and of the streaming layer's low-rank/sparse split built on it.
 //
 // The host kernels may be restructured (staging layout, vectorization)
 // only in ways that leave every result bit unchanged; these hashes pin that.
@@ -15,6 +16,7 @@
 #include "caqr/caqr.hpp"
 #include "common/prng.hpp"
 #include "gpusim/device.hpp"
+#include "stream/online_rpca.hpp"
 
 namespace caqr {
 namespace {
@@ -90,6 +92,53 @@ TEST(GoldenBits, F32Paper110592x100) {
   const auto h = caqr_hashes<float>(110592, 100, 4);
   EXPECT_EQ(h.q, 0x565dd5316e76babbULL);
   EXPECT_EQ(h.r, 0xb0f3864dbc1b6a11ULL);
+}
+
+// The streaming split: one f32 camera of 160 x 64 frames through the
+// default OnlineRpca with a 16-frame window. Each frame is a fixed rank-2
+// background at 0.3, a 0.5 offset with uniform noise of amplitude 0.01, and
+// a 16 x 8 block brightened by 0.8 that moves every frame. Hashes frame
+// 200's low-rank and sparse parts, which the seeded subspace iteration
+// computes (frames 2-200 take no full-SVD fallback).
+TEST(GoldenBits, StreamCameraSplit) {
+  constexpr idx kRows = 160, kCols = 64;
+  stream::OnlineRpcaOptions opt;
+  opt.cols = kCols;
+  opt.frame_rows = kRows;
+  opt.window_frames = 16;
+  stream::OnlineRpca<float> rpca(opt);
+  gpusim::Device dev(gpusim::GpuMachineModel::c2050(),
+                     gpusim::ExecMode::Functional);
+  const auto u = uniform_input<float>(kRows, 2, 71);
+  const auto v = uniform_input<float>(kCols, 2, 72);
+  Rng noise(73);
+  stream::FrameOutput<float> out;
+  int fallbacks = 0;
+  for (idx f = 0; f < 200; ++f) {
+    Matrix<float> frame(kRows, kCols);
+    for (idx j = 0; j < kCols; ++j) {
+      for (idx i = 0; i < kRows; ++i) {
+        frame(i, j) = 0.3f * (u(i, 0) * v(j, 0) + u(i, 1) * v(j, 1)) + 0.5f +
+                      0.01f * static_cast<float>(noise.uniform(-1.0, 1.0));
+      }
+    }
+    const idx r0 = (f * 3) % (kRows - 16), c0 = (f * 5) % (kCols - 8);
+    for (idx j = c0; j < c0 + 8; ++j) {
+      for (idx i = r0; i < r0 + 16; ++i) frame(i, j) += 0.8f;
+    }
+    out = rpca.consume(dev, frame.view());
+    if (out.svd_fallback) ++fallbacks;
+  }
+  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+  const std::uint64_t l = hash_matrix(out.low_rank.as_const(), kOffset);
+  const std::uint64_t sp = hash_matrix(out.sparse.as_const(), kOffset);
+  std::printf("stream camera frame 200: rank %lld l 0x%016llx s 0x%016llx\n",
+              static_cast<long long>(out.rank),
+              static_cast<unsigned long long>(l),
+              static_cast<unsigned long long>(sp));
+  EXPECT_EQ(fallbacks, 0);
+  EXPECT_EQ(l, 0x6ae62da5961fb75cULL);
+  EXPECT_EQ(sp, 0x2a3794bf15a6d6c4ULL);
 }
 
 }  // namespace

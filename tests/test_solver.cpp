@@ -102,6 +102,48 @@ TEST(LeastSquares, MinimizesResidualWithNoise) {
   EXPECT_LT(max_abs(atres.view()), 1e-9 * frobenius_norm(b.view()));
 }
 
+// A CholeskyQR-family request solves through its own factorization: on a
+// well-conditioned problem x matches the CAQR solution to float accuracy
+// (relative difference <= 1e-4, residual norms equal to 1e-5 relative),
+// and the device ran no hybrid QR.
+TEST(LeastSquares, CholeskyQrAlgorithmsSolveWithoutHybrid) {
+  const idx m = 2048, n = 32;
+  const auto a = gaussian_matrix<float>(m, n, 16);
+  const auto x_true = gaussian_matrix<float>(n, 1, 17);
+  auto b = gaussian_matrix<float>(m, 1, 18);
+  gemm(Trans::No, Trans::No, 1.0f, a.view(), x_true.view(), 0.1f, b.view());
+  auto residual = [&](const Matrix<float>& x) {
+    Matrix<double> r(m, 1);
+    for (idx i = 0; i < m; ++i) {
+      double s = b(i, 0);
+      for (idx j = 0; j < n; ++j) s -= static_cast<double>(a(i, j)) * x(j, 0);
+      r(i, 0) = s;
+    }
+    return frobenius_norm(r.view());
+  };
+
+  Device ref_dev(GpuMachineModel::a100());
+  const auto x_caqr =
+      least_squares_solve(ref_dev, a.view(), b.view(), QrAlgorithm::Caqr);
+  const double res_caqr = residual(x_caqr);
+  for (const auto algo : {QrAlgorithm::CholeskyQr2, QrAlgorithm::CholeskyQr3,
+                          QrAlgorithm::CholeskyQr2Mixed}) {
+    Device dev(GpuMachineModel::a100());
+    const auto x = least_squares_solve(dev, a.view(), b.view(), algo);
+    double diff = 0.0;
+    for (idx i = 0; i < n; ++i) {
+      const double d = static_cast<double>(x(i, 0)) - x_caqr(i, 0);
+      diff += d * d;
+    }
+    EXPECT_LE(std::sqrt(diff), 1e-4 * frobenius_norm(x_caqr.view()))
+        << static_cast<int>(algo);
+    EXPECT_NEAR(residual(x), res_caqr, 1e-5 * res_caqr)
+        << static_cast<int>(algo);
+    EXPECT_EQ(dev.profile("hybrid_qr"), nullptr) << static_cast<int>(algo);
+    EXPECT_GT(dev.elapsed_seconds(), 0.0);
+  }
+}
+
 TEST(LeastSquares, IllConditionedStillAccurate) {
   const idx m = 600, n = 16;
   auto a = matrix_with_condition<double>(m, n, 1e8, 13);

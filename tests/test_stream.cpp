@@ -11,9 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "common/prng.hpp"
+#include "common/profile.hpp"
+#include "linalg/blas3.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/random_matrix.hpp"
+#include "linalg/svd.hpp"
 #include "numerics/verifier.hpp"
 #include "stream/online_rpca.hpp"
 #include "stream/sliding_window_qr.hpp"
@@ -449,6 +453,186 @@ TEST(OnlineRpca, MigrationBitIdenticalUnderSeededFaultInjector) {
   EXPECT_FALSE(
       stream::CameraStream<double>::resume_from(wrong, path).has_value());
   std::remove(path.c_str());
+}
+
+// -- Background subspace: seeded subspace iteration vs the full SVD --
+
+// A camera like the end-to-end benchmark's: 160 x 64 f32 frames holding a
+// fixed rank-2 background at 0.1, a 0.5 offset with 0.01 sensor noise, and
+// a bright 16 x 8 block that moves every frame; a 16-frame window.
+struct BenchStyleCamera {
+  static constexpr idx kRows = 160, kCols = 64, kWindow = 16;
+
+  BenchStyleCamera(int id_, std::uint64_t seed)
+      : id(id_),
+        background(Matrix<float>::zeros(kRows, kCols)),
+        rng(seed, 500 + static_cast<std::uint64_t>(id_)) {
+    const auto u = gaussian_matrix<float>(kRows, 2, 7919 + id_);
+    const auto v = gaussian_matrix<float>(kCols, 2, 7919 + id_ + 97);
+    gemm(Trans::No, Trans::Yes, 0.1f, u.view(), v.view(), 0.0f,
+         background.view());
+    generated = static_cast<idx>(rng.next_below(kRows));
+  }
+
+  static stream::OnlineRpcaOptions options() {
+    stream::OnlineRpcaOptions o;
+    o.cols = kCols;
+    o.frame_rows = kRows;
+    o.window_frames = kWindow;
+    return o;
+  }
+
+  Matrix<float> next_frame() {
+    Matrix<float> f = background.clone();
+    for (idx j = 0; j < kCols; ++j) {
+      for (idx i = 0; i < kRows; ++i) {
+        f(i, j) += 0.5f + 0.01f * static_cast<float>(rng.normal());
+      }
+    }
+    const idx r0 = (generated * 3) % (kRows - 16);
+    const idx c0 = (id * 5 + generated) % (kCols - 8);
+    for (idx j = c0; j < c0 + 8; ++j) {
+      for (idx i = r0; i < r0 + 16; ++i) f(i, j) += 0.8f;
+    }
+    ++generated;
+    return f;
+  }
+
+  int id;
+  Matrix<float> background;
+  Rng rng;
+  idx generated = 0;
+};
+
+// The frame split as consume computed it before the subspace iteration:
+// the full Jacobi SVD of the window R, the energy rank rule, L = f V_k V_k^T
+// and S = shrink(f - L).
+template <typename T>
+struct ReferenceSplit {
+  Matrix<T> low_rank, sparse;
+  idx rank = 0;
+};
+
+template <typename T>
+ReferenceSplit<T> full_svd_split(ConstMatrixView<T> r, ConstMatrixView<T> f,
+                                 const stream::OnlineRpcaOptions& opt) {
+  const auto rs = jacobi_svd(r, opt.svd_max_sweeps);
+  double total = 0.0, cum = 0.0;
+  for (const T s : rs.sigma) total += static_cast<double>(s) * s;
+  idx k = 0;
+  while (k < opt.cols && cum < opt.rank_energy * total) {
+    const double s = static_cast<double>(rs.sigma[static_cast<std::size_t>(k)]);
+    cum += s * s;
+    ++k;
+  }
+  ReferenceSplit<T> out{Matrix<T>::zeros(f.rows(), f.cols()),
+                        Matrix<T>::zeros(f.rows(), f.cols()),
+                        std::max<idx>(k, 1)};
+  const auto vk = rs.v.view().block(0, 0, opt.cols, out.rank);
+  Matrix<T> proj = Matrix<T>::zeros(f.rows(), out.rank);
+  gemm(Trans::No, Trans::No, T(1), f, vk, T(0), proj.view());
+  gemm(Trans::No, Trans::Yes, T(1), proj.view(), vk, T(0),
+       out.low_rank.view());
+  for (idx j = 0; j < f.cols(); ++j) {
+    for (idx i = 0; i < f.rows(); ++i) {
+      out.sparse(i, j) = f(i, j) - out.low_rank(i, j);
+    }
+  }
+  rpca::shrink(out.sparse.view(),
+               static_cast<T>(rpca::default_rpca_lambda(
+                   std::max(opt.frame_rows, opt.cols))));
+  return out;
+}
+
+template <typename T>
+bool bits_equal(const Matrix<T>& a, const Matrix<T>& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (idx j = 0; j < a.cols(); ++j) {
+    if (std::memcmp(a.view().col(j), b.view().col(j),
+                    sizeof(T) * static_cast<std::size_t>(a.rows())) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// On the benchmark's camera windows the subspace iteration settles every
+// frame, picks the full SVD's rank, and gives the same background up to
+// float rounding.
+TEST(OnlineRpca, SubspaceIterationMatchesFullSvdOnCameraWindows) {
+  const auto opt = BenchStyleCamera::options();
+  for (int id = 0; id < 4; ++id) {
+    BenchStyleCamera cam(id, 31);
+    stream::OnlineRpca<float> rpca(opt);
+    Device dev;
+    int split_frames = 0;
+    for (int f = 0; f < 200; ++f) {
+      const Matrix<float> frame = cam.next_frame();
+      const auto out = rpca.consume(dev, frame.view());
+      if (out.warmup) continue;
+      ++split_frames;
+      ASSERT_FALSE(out.svd_fallback) << "camera " << id << " frame " << f;
+      const auto ref = full_svd_split<float>(
+          rpca.window().r(dev).view(), frame.view(), opt);
+      ASSERT_EQ(out.rank, ref.rank) << "camera " << id << " frame " << f;
+      Matrix<float> diff = out.low_rank.clone();
+      for (idx j = 0; j < diff.cols(); ++j) {
+        axpy(diff.rows(), -1.0f, ref.low_rank.view().col(j),
+             diff.view().col(j));
+      }
+      ASSERT_LE(frobenius_norm(diff.view()),
+                2e-4 * frobenius_norm(frame.view()))
+          << "camera " << id << " frame " << f;
+    }
+    EXPECT_GT(split_frames, 190);
+  }
+}
+
+// A window of iid Gaussian frames has a flat spectrum: 0.95 of its energy
+// needs more columns than the iteration's block, so every frame falls back
+// to the full Jacobi SVD, counted, and splits exactly as the full path.
+TEST(OnlineRpca, FlatSpectrumFallsBackToFullSvdBitForBit) {
+  const auto cfg = small_stream(5, 97);
+  stream::OnlineRpca<double> rpca(cfg.rpca);
+  Device dev;
+  prof::Counter& fallbacks = prof::counter("stream.svd_fallbacks");
+  const auto frames = gaussian_matrix<double>(cfg.rpca.frame_rows * 10,
+                                              cfg.rpca.cols, 98);
+  int split_frames = 0;
+  for (idx f = 0; f < 10; ++f) {
+    const auto frame = frames.view().block(f * cfg.rpca.frame_rows, 0,
+                                           cfg.rpca.frame_rows, cfg.rpca.cols);
+    const long long before = fallbacks.count.load();
+    const auto out = rpca.consume(dev, frame);
+    if (out.warmup) continue;
+    ++split_frames;
+    EXPECT_TRUE(out.svd_fallback) << "frame " << f;
+    EXPECT_EQ(fallbacks.count.load(), before + 1) << "frame " << f;
+    const auto ref = full_svd_split<double>(rpca.window().r(dev).view(),
+                                            frame, cfg.rpca);
+    EXPECT_GE(ref.rank, 8) << "frame " << f;
+    EXPECT_EQ(out.rank, ref.rank) << "frame " << f;
+    EXPECT_TRUE(bits_equal(out.low_rank, ref.low_rank)) << "frame " << f;
+    EXPECT_TRUE(bits_equal(out.sparse, ref.sparse)) << "frame " << f;
+  }
+  EXPECT_GT(split_frames, 0);
+}
+
+// ModelOnly charges what Functional runs: the same simulated seconds per
+// frame, bit for bit, including the lazily combined window R read.
+TEST(OnlineRpca, ModelOnlyFrameChargesEqualFunctional) {
+  const auto opt = BenchStyleCamera::options();
+  BenchStyleCamera cam(1, 33);
+  stream::OnlineRpca<float> functional(opt), model_only(opt);
+  Device fdev(gpusim::GpuMachineModel::a100(), ExecMode::Functional);
+  Device mdev(gpusim::GpuMachineModel::a100(), ExecMode::ModelOnly);
+  for (int f = 0; f < 40; ++f) {
+    const Matrix<float> frame = cam.next_frame();
+    const auto fo = functional.consume(fdev, frame.view());
+    const auto mo = model_only.consume(mdev, frame.view());
+    ASSERT_FALSE(fo.drift_refactor) << "frame " << f;
+    EXPECT_EQ(fo.simulated_seconds, mo.simulated_seconds) << "frame " << f;
+  }
 }
 
 // -- Multi-tenant serving --
