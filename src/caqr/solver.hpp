@@ -164,8 +164,10 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
   QrSolveResult<T> out;
   out.used = algo;
   if (is_cholqr(algo)) {
+    // The fallback refactors `a` itself: the caller's input outlives the
+    // call, so no second copy is kept.
     auto res = tsqr::cholqr(dev, std::move(work),
-                            cholqr_options_for(algo, caqr_opt));
+                            cholqr_options_for(algo, caqr_opt), a);
     out.q = std::move(res.q);
     out.r = std::move(res.r);
     out.severity = res.severity;
@@ -193,7 +195,11 @@ QrSolveResult<view_scalar_t<VA>> adaptive_qr(
 // Least-squares solve min ||A x - B||_F for tall A through the requested
 // QR: X = R^{-1} (Q^T B)(1:n). B may have multiple right-hand sides. CAQR
 // and the hybrid apply Q^T implicitly; a CholeskyQR-family algorithm runs
-// through adaptive_qr and multiplies by its explicit Q.
+// through adaptive_qr and multiplies by its explicit Q. Q^T B is charged to
+// the device on every branch: CAQR's through apply_qt's launches, the
+// hybrid's and CholeskyQR's as one n x nrhs x m gemm. In ModelOnly, A and B
+// may be Matrix::shape_only placeholders: nothing is read, the same
+// launches are charged, and X comes back shape_only.
 template <typename VA, typename VB>
 Matrix<view_scalar_t<VA>> least_squares_solve(gpusim::Device& dev,
                                               const VA& a_in, const VB& b_in,
@@ -201,29 +207,41 @@ Matrix<view_scalar_t<VA>> least_squares_solve(gpusim::Device& dev,
   using T = view_scalar_t<VA>;
   const ConstMatrixView<T> a = cview(a_in);
   const ConstMatrixView<T> b = cview(b_in);
-  const idx m = a.rows(), n = a.cols();
+  const idx m = a.rows(), n = a.cols(), nrhs = b.cols();
   CAQR_CHECK(m >= n && b.rows() == m);
 
   if (algo == QrAlgorithm::Auto) algo = pick_householder<T>(dev.model(), m, n);
 
-  Matrix<T> qtb = Matrix<T>::from(b);
+  const bool functional = dev.mode() == gpusim::ExecMode::Functional;
+  const auto copy = [&](ConstMatrixView<T> v) {
+    return functional ? Matrix<T>::from(v)
+                      : Matrix<T>::shape_only(v.rows(), v.cols());
+  };
+  Matrix<T> qtb = copy(b);
   Matrix<T> r;
   if (is_cholqr(algo)) {
     auto res = adaptive_qr(dev, a, algo);
-    gemm(Trans::Yes, Trans::No, T(1), res.q.view(), b, T(0),
-         qtb.view().block(0, 0, n, b.cols()));
+    baselines::charge_gemm(dev, n, nrhs, m, "lsq_qtb");
+    if (functional) {
+      gemm(Trans::Yes, Trans::No, T(1), res.q.view(), b, T(0),
+           qtb.view().block(0, 0, n, nrhs));
+    }
     r = std::move(res.r);
   } else if (algo == QrAlgorithm::Caqr) {
-    auto f = CaqrFactorization<T>::factor(dev, Matrix<T>::from(a));
+    auto f = CaqrFactorization<T>::factor(dev, copy(a));
     f.apply_qt(dev, qtb.view());
-    r = f.r();
+    if (functional) r = f.r();
   } else {
-    auto res = baselines::hybrid_qr(dev, Matrix<T>::from(a));
-    apply_q_left(res.factored.view().block(0, 0, m, n), res.tau.data(),
-                 Trans::Yes, qtb.view());
-    r = extract_r(res.factored.view());
+    auto res = baselines::hybrid_qr(dev, copy(a));
+    baselines::charge_gemm(dev, n, nrhs, m, "lsq_qtb");
+    if (functional) {
+      apply_q_left(res.factored.view().block(0, 0, m, n), res.tau.data(),
+                   Trans::Yes, qtb.view());
+      r = extract_r(res.factored.view());
+    }
   }
-  Matrix<T> x = Matrix<T>::from(qtb.view().block(0, 0, n, b.cols()));
+  if (!functional) return Matrix<T>::shape_only(n, nrhs);
+  Matrix<T> x = Matrix<T>::from(qtb.view().block(0, 0, n, nrhs));
   trsm(Side::Left, UpLo::Upper, Trans::No, r.view().block(0, 0, n, n),
        x.view());
   return x;

@@ -1,6 +1,6 @@
 // Golden bits of CAQR: FNV-1a hashes of the column-major bytes of Q and R
-// for fixed seeded inputs under the default options on the C2050 model,
-// and of the streaming layer's low-rank/sparse split built on it.
+// for fixed seeded inputs under the default options on the C2050 model, of
+// a served CholeskyQR2, and of the streaming layer's low-rank/sparse split.
 //
 // The host kernels may be restructured (staging layout, vectorization)
 // only in ways that leave every result bit unchanged; these hashes pin that.
@@ -14,6 +14,7 @@
 #include <type_traits>
 
 #include "caqr/caqr.hpp"
+#include "caqr/solver.hpp"
 #include "common/prng.hpp"
 #include "gpusim/device.hpp"
 #include "stream/online_rpca.hpp"
@@ -92,6 +93,26 @@ TEST(GoldenBits, F32Paper110592x100) {
   const auto h = caqr_hashes<float>(110592, 100, 4);
   EXPECT_EQ(h.q, 0x565dd5316e76babbULL);
   EXPECT_EQ(h.r, 0xb0f3864dbc1b6a11ULL);
+}
+
+// A served CholeskyQR2 request: an f32 8192 x 32 input through adaptive_qr
+// on the C2050 model, as SolverPool runs a CholeskyQR plan. Pins the bits of
+// the host Gram (syrk_t), the right triangular solve and the R update.
+TEST(GoldenBits, CholQr2Serve8192x32) {
+  gpusim::Device dev(gpusim::GpuMachineModel::c2050(),
+                     gpusim::ExecMode::Functional);
+  const auto a = uniform_input<float>(8192, 32, 5);
+  const auto res = adaptive_qr(dev, a.view(), QrAlgorithm::CholeskyQr2);
+  ASSERT_EQ(res.used, QrAlgorithm::CholeskyQr2);
+  ASSERT_FALSE(res.cholqr_fallback);
+  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+  const std::uint64_t q = hash_matrix(res.q.view(), kOffset);
+  const std::uint64_t r = hash_matrix(res.r.view(), kOffset);
+  std::printf("cholqr2 f32 8192x32 seed 5: q 0x%016llx r 0x%016llx\n",
+              static_cast<unsigned long long>(q),
+              static_cast<unsigned long long>(r));
+  EXPECT_EQ(q, 0x7cef4617ee87f0e1ULL);
+  EXPECT_EQ(r, 0x6409dbbbf8bd92c0ULL);
 }
 
 // The streaming split: one f32 camera of 160 x 64 frames through the

@@ -258,6 +258,45 @@ TEST(ModelOnlyParity, AdaptiveQrA100) {
   }
 }
 
+// least_squares_solve charges the same launches on both clocks on every
+// branch, Q^T b included: the hybrid and CholeskyQR branches charge it as
+// one n x nrhs x m gemm ("lsq_qtb"), CAQR through apply_qt's launches.
+TEST(ModelOnlyParity, LeastSquaresEveryBranch) {
+  const idx m = 2048, n = 32, nrhs = 3;
+  const auto a = gaussian_matrix<float>(m, n, 23);
+  const auto b = gaussian_matrix<float>(m, nrhs, 24);
+  for (const auto algo : {QrAlgorithm::Caqr, QrAlgorithm::Hybrid,
+                          QrAlgorithm::CholeskyQr2, QrAlgorithm::CholeskyQr3,
+                          QrAlgorithm::CholeskyQr2Mixed}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    Device fdev(GpuMachineModel::a100(), ExecMode::Functional);
+    Device mdev(GpuMachineModel::a100(), ExecMode::ModelOnly);
+    const auto fx = least_squares_solve(fdev, a.view(), b.view(), algo);
+    const auto mx = least_squares_solve(
+        mdev, Matrix<float>::shape_only(m, n).view(),
+        Matrix<float>::shape_only(m, nrhs).view(), algo);
+    EXPECT_GT(mdev.elapsed_seconds(), 0.0);
+    EXPECT_EQ(mdev.elapsed_seconds(), fdev.elapsed_seconds());
+    EXPECT_EQ(mx.rows(), fx.rows());
+    EXPECT_EQ(mx.cols(), fx.cols());
+    EXPECT_EQ(mx.data(), nullptr);
+    const auto fp = fdev.profiles();
+    const auto mp = mdev.profiles();
+    ASSERT_EQ(mp.size(), fp.size());
+    for (std::size_t i = 0; i < fp.size(); ++i) {
+      EXPECT_EQ(mp[i].name, fp[i].name);
+      EXPECT_EQ(mp[i].launches, fp[i].launches) << fp[i].name;
+    }
+    const auto* qtb = fdev.profile("lsq_qtb");
+    if (algo == QrAlgorithm::Caqr) {
+      EXPECT_EQ(qtb, nullptr);
+    } else {
+      ASSERT_NE(qtb, nullptr);
+      EXPECT_EQ(qtb->launches, 1);
+    }
+  }
+}
+
 // CholeskyQR needs rows >= cols: a wide request is a typed error, never an
 // abort, and an empty one runs CAQR (the Householder paths handle it).
 TEST(AdaptiveQr, CholeskyQrShapeRules) {
