@@ -55,6 +55,10 @@ class ThreadPool {
   // Process-wide default pool, sized from hardware concurrency.
   static ThreadPool& global();
 
+  // True on a thread that is running some pool's parallel_for items: a
+  // parallel_for issued here runs inline.
+  static bool in_parallel_region() { return in_parallel_region_; }
+
  private:
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
