@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "caqr/solver.hpp"
+#include "common/group_list.hpp"
 #include "common/prng.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/block_ops.hpp"
 #include "kernels/kernels.hpp"
@@ -100,6 +102,45 @@ void BM_BlockApplyQt(benchmark::State& state) {
 BENCHMARK(BM_BlockApplyQt<false>)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_BlockApplyQt<true>)->Arg(128);
 
+// The tile reset BM_BlockApplyQt times with each apply, alone: subtract it
+// to read the kernel's own rate.
+void BM_BlockApplyQtReset(benchmark::State& state) {
+  const idx h = state.range(0), w = 16;
+  auto c0 = gaussian_matrix<float>(h, w, 7);
+  Matrix<float> c(h, w);
+  for (auto _ : state) {
+    c.view().copy_from(c0.view());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_BlockApplyQtReset)->Arg(64)->Arg(128)->Arg(256);
+
+// The staging of a 128 x 16 f32 tile of a taller panel (ld 8192) into the
+// row-major scratch tile and back, at each ISA level (arg isa as in
+// BM_BlockApplyIsa): the data movement around every block_apply.
+void BM_StageTileIsa(benchmark::State& state) {
+  const auto isa = static_cast<kernels::simd::Isa>(state.range(0));
+  if (!kernels::simd::supports(isa)) {
+    state.SkipWithError("host lacks this ISA level");
+    return;
+  }
+  state.SetLabel(kernels::simd::isa_name(isa));
+  const idx h = 128, w = 16;
+  auto panel = gaussian_matrix<float>(8192, w, 8);
+  const auto c = panel.block(256, 0, h, w);
+  std::vector<float> t(static_cast<std::size_t>(h * w));
+  for (auto _ : state) {
+    kernels::simd::stage_rows(isa, c.as_const(), t.data(), w);
+    kernels::simd::unstage_rows(isa, t.data(), w, c);
+    benchmark::DoNotOptimize(t.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(h * w * sizeof(float)));
+}
+BENCHMARK(BM_StageTileIsa)->Arg(0)->Arg(1)->Arg(2)->ArgName("isa");
+
 // block_apply at each ISA level (arg isa: 0 SSE2, 1 AVX2, 2 AVX-512) on a
 // 128 x 16 block and a 16-column tile, both directions (arg qt). A level
 // the host lacks reports an error instead of a time; the context line
@@ -159,6 +200,65 @@ void BM_ApplyQtHKernelStaged(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(flops));
 }
 BENCHMARK(BM_ApplyQtHKernelStaged)->Arg(8192);
+
+// The apply_qt_tree kernel as a launch runs it: every (group x 16-column
+// tile) of the first tree level over 128-row blocks, groups of 4, the
+// groups' rows gathered into the staged tile and scattered back.
+void BM_ApplyQtTreeKernelStaged(benchmark::State& state) {
+  const idx m = state.range(0), w = 16, n = 84, h = 128, arity = 4;
+  auto panel = gaussian_matrix<float>(m, w, 15);
+  std::vector<idx> offsets;
+  for (idx r = 0; r <= m; r += h) offsets.push_back(r);
+  const idx nb = static_cast<idx>(offsets.size()) - 1;
+  std::vector<float> taus(static_cast<std::size_t>(nb * w));
+  const auto cost =
+      kernels::cost_params(kernels::ReductionVariant::RegisterSerialTransposed);
+  kernels::FactorKernel<float> f{panel.view(), &offsets, taus.data(), cost};
+  for (idx b = 0; b < nb; ++b) f.run_block(b);
+  GroupList groups;
+  for (idx b = 0; b < nb; b += arity) {
+    for (idx i = b; i < std::min(nb, b + arity); ++i) {
+      groups.append(offsets[static_cast<std::size_t>(i)]);
+    }
+    groups.close_group();
+  }
+  std::vector<float> tree_taus(static_cast<std::size_t>(groups.size() * w));
+  kernels::FactorTreeKernel<float> ft{panel.view(), &groups, tree_taus.data(),
+                                      cost};
+  for (idx g = 0; g < groups.size(); ++g) ft.run_block(g);
+  auto c0 = gaussian_matrix<float>(m, n, 16);
+  Matrix<float> c(m, n);
+  kernels::ApplyQtTreeKernel<float> k{panel.as_const(), &groups,
+                                      tree_taus.data(), c.view(), 16, cost};
+  const double flops = static_cast<double>(groups.size()) *
+                       kernels::stacked_apply_qt_flops(w, arity, n);
+  for (auto _ : state) {
+    c.view().copy_from(c0.view());
+    for (idx b = 0; b < k.num_blocks(); ++b) k.run_block(b);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(flops));
+}
+BENCHMARK(BM_ApplyQtTreeKernelStaged)->Arg(8192);
+
+// CaqrFactorization::form_q at the paper's 110,592 x 100 f32 on a device
+// whose pool has one thread (e2ebench's caqr.form_q_1t_s): the identity
+// seed plus every apply_q launch.
+void BM_FormQ1t(benchmark::State& state) {
+  const idx m = state.range(0), n = state.range(1);
+  ThreadPool one(1);
+  gpusim::Device dev(gpusim::GpuMachineModel::c2050(),
+                     gpusim::ExecMode::Functional, &one);
+  const auto f =
+      CaqrFactorization<float>::factor(dev, gaussian_matrix<float>(m, n, 17));
+  for (auto _ : state) {
+    auto q = f.form_q(dev, n);
+    benchmark::DoNotOptimize(q.data());
+  }
+}
+BENCHMARK(BM_FormQ1t)->Args({110592, 100})->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ReferenceGeqrf(benchmark::State& state) {
   const idx m = state.range(0), n = 64;

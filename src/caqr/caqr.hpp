@@ -97,6 +97,29 @@ struct CaqrOptions {
 
 namespace detail {
 
+// Entries of form_q's identity seed one pool item writes.
+inline constexpr idx kSeedChunkElems = idx{1} << 18;
+
+// form_q's rows x cols identity seed, written on `pool` in chunks of whole
+// columns of about kSeedChunkElems entries; a seed of one chunk is written
+// inline. At 110,592 x 100 a serial fill of fresh pages held one thread
+// for ~30 ms, about 30% of a pooled form_q. The entries are only stored,
+// so Q keeps its bits at any pool size.
+template <typename T>
+Matrix<T> identity_seed(ThreadPool& pool, idx rows, idx cols) {
+  Matrix<T> q(rows, cols);
+  const idx per = std::max<idx>(1, kSeedChunkElems / std::max<idx>(rows, 1));
+  const idx chunks = (cols + per - 1) / per;
+  // Two captures keep the std::function off the heap.
+  pool.parallel_for(static_cast<std::size_t>(chunks), [&q, per](std::size_t c) {
+    const idx j0 = static_cast<idx>(c) * per;
+    const idx j1 = std::min(q.cols(), j0 + per);
+    q.block(0, j0, q.rows(), j1 - j0).fill(T(0));
+    for (idx j = j0; j < std::min(j1, q.rows()); ++j) q(j, j) = T(1);
+  });
+  return q;
+}
+
 // Checkpoint sections of one panel factor under the prefix `pre`: shape,
 // block offsets, level-0 taus, then per tree level the group structure and
 // taus. Shared by the single-device and the grid (dist/grid_ft.hpp)
@@ -268,12 +291,12 @@ class CaqrFactorization {
   // Explicit m x qcols orthogonal factor (SORGQR equivalent); qcols == 0
   // yields an m x 0 matrix. Bit-identical to apply_q on
   // Matrix::identity(m, qcols), but skips the columns the identity leaves
-  // zero (walk()). ModelOnly seeds a storage-free placeholder and only
-  // charges the timeline.
+  // zero (walk()). The seed is written on the device's pool. ModelOnly
+  // seeds a storage-free placeholder and only charges the timeline.
   Matrix<T> form_q(gpusim::Device& dev, idx qcols) const {
     CAQR_CHECK(qcols >= 0 && qcols <= a_.rows());
     Matrix<T> q = dev.mode() == gpusim::ExecMode::Functional
-                      ? Matrix<T>::identity(a_.rows(), qcols)
+                      ? detail::identity_seed<T>(dev.pool(), a_.rows(), qcols)
                       : Matrix<T>::shape_only(a_.rows(), qcols);
     walk(dev, q.view(), /*transpose_q=*/false, /*identity_seed=*/true);
     return q;

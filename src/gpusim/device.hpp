@@ -128,6 +128,8 @@ class Device {
 
   const GpuMachineModel& model() const { return model_; }
   ExecMode mode() const { return mode_; }
+  // The host pool that runs Functional launches' blocks.
+  ThreadPool& pool() const { return *pool_; }
   void set_mode(ExecMode mode) { mode_ = mode; }
 
   // Mints a fresh asynchronous stream (ids >= 1; 0 is the legacy stream).

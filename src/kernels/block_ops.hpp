@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <type_traits>
 
 #include "common/arena.hpp"
@@ -307,26 +308,201 @@ inline idx tile_ld(idx cols) {
   return cols - rem + tail;
 }
 
-// Runs fn(t, ld) on `c` staged row-major in the calling thread's arena
-// scratch: row i of c is t[i * ld, i * ld + ld), ld = tile_ld(c.cols()),
-// with the padding lanes zero. Then copies the tile back into c.
-template <typename T, typename Fn>
-void on_rows(MatrixView<T> c, Fn&& fn) {
+// ---------------------------------------------------------------------------
+// Staging: moves between a column-major view and a row-major tile.
+//
+// Both directions transpose: W consecutive entries of each of W columns
+// become W consecutive entries of each of W tile rows, and back. A W x W
+// block goes through registers: W vector loads, shuffles, W vector stores.
+// Vectors are at most 32 bytes, as in reflect_chunk: 8 x 8 floats and
+// 4 x 4 doubles at AVX2 and AVX-512, 4 x 4 and 2 x 2 at SSE2. The last
+// rows % W rows, and the columns left after the widest groups, move one
+// entry at a time. Every entry is only copied, never computed, so the
+// tile holds the bits of the view and the view gets back the tile's.
+// ---------------------------------------------------------------------------
+
+// Widest transpose block at level I: 32-byte vectors at most.
+template <Isa I, typename T>
+inline constexpr int kStageLanes =
+    std::min(kVecBytes<I>, 32) / static_cast<int>(sizeof(T));
+
+// Transposes the n x n block inside every 128-bit lane of x[0, n), n the
+// entries per lane: lane entry q of x[r] and lane entry r of x[q] swap.
+// Each step is one unpack or in-lane shuffle instruction.
+template <typename V>
+inline void transpose_lanes(V* x) {
+  constexpr int n = 16 / static_cast<int>(sizeof(x[0][0]));
+  constexpr int L = static_cast<int>(sizeof(V) / sizeof(x[0][0]));
+  const V a = x[0], b = x[1];
+  if constexpr (n == 2 && L == 2) {
+    x[0] = __builtin_shufflevector(a, b, 0, 2);
+    x[1] = __builtin_shufflevector(a, b, 1, 3);
+  } else if constexpr (n == 2) {
+    static_assert(L == 4);
+    x[0] = __builtin_shufflevector(a, b, 0, 4, 2, 6);
+    x[1] = __builtin_shufflevector(a, b, 1, 5, 3, 7);
+  } else if constexpr (L == 4) {
+    static_assert(n == 4);
+    const V c = x[2], d = x[3];
+    const V t0 = __builtin_shufflevector(a, b, 0, 4, 1, 5);
+    const V t1 = __builtin_shufflevector(a, b, 2, 6, 3, 7);
+    const V t2 = __builtin_shufflevector(c, d, 0, 4, 1, 5);
+    const V t3 = __builtin_shufflevector(c, d, 2, 6, 3, 7);
+    x[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+    x[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+    x[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+    x[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+  } else {
+    static_assert(n == 4 && L == 8);
+    const V c = x[2], d = x[3];
+    const V t0 = __builtin_shufflevector(a, b, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V t1 = __builtin_shufflevector(a, b, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V t2 = __builtin_shufflevector(c, d, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V t3 = __builtin_shufflevector(c, d, 2, 10, 3, 11, 6, 14, 7, 15);
+    x[0] = __builtin_shufflevector(t0, t2, 0, 1, 8, 9, 4, 5, 12, 13);
+    x[1] = __builtin_shufflevector(t0, t2, 2, 3, 10, 11, 6, 7, 14, 15);
+    x[2] = __builtin_shufflevector(t1, t3, 0, 1, 8, 9, 4, 5, 12, 13);
+    x[3] = __builtin_shufflevector(t1, t3, 2, 3, 10, 11, 6, 7, 14, 15);
+  }
+}
+
+// Copies the transpose of a W x W block: line q of the source (W entries
+// at src + q * ss) becomes entry q of every line of the destination (line
+// r at dst + r * ds). A 32-byte vector is loaded as two 16-byte halves
+// that already sit in their final lanes, so only in-lane shuffles remain.
+template <int W, typename T>
+inline void transpose_block(const T* src, idx ss, T* dst, idx ds) {
+  typedef T V __attribute__((vector_size(W * sizeof(T))));
+  constexpr int n = 16 / static_cast<int>(sizeof(T));
+  V x[W];
+  if constexpr (W == n) {
+#pragma GCC unroll 4
+    for (int q = 0; q < W; ++q) std::memcpy(&x[q], src + q * ss, sizeof(V));
+    transpose_lanes(x);
+  } else {
+    static_assert(W == 2 * n);
+    typedef T H __attribute__((vector_size(16)));
+    // x[p] holds lines p and p + n in its two lanes, x[n + p] the same
+    // lines' second halves.
+#pragma GCC unroll 4
+    for (int p = 0; p < n; ++p) {
+      H h[4];
+      std::memcpy(&h[0], src + p * ss, 16);
+      std::memcpy(&h[1], src + (p + n) * ss, 16);
+      std::memcpy(&h[2], src + p * ss + n, 16);
+      std::memcpy(&h[3], src + (p + n) * ss + n, 16);
+      if constexpr (n == 4) {
+        x[p] = __builtin_shufflevector(h[0], h[1], 0, 1, 2, 3, 4, 5, 6, 7);
+        x[n + p] = __builtin_shufflevector(h[2], h[3], 0, 1, 2, 3, 4, 5, 6, 7);
+      } else {
+        x[p] = __builtin_shufflevector(h[0], h[1], 0, 1, 2, 3);
+        x[n + p] = __builtin_shufflevector(h[2], h[3], 0, 1, 2, 3);
+      }
+    }
+    transpose_lanes(x);
+    transpose_lanes(x + n);
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < W; ++r) std::memcpy(dst + r * ds, &x[r], sizeof(V));
+}
+
+// Moves columns [j, j + W) of a rows-row tile between the column-major c
+// (column q at c + q * cld) and the row-major t (row i at t + i * ld): into
+// t when kIn, back into c otherwise. W == 1 moves one entry at a time.
+template <int W, bool kIn, typename C, typename S>
+void move_cols(C* c, idx cld, idx rows, idx j, S* t, idx ld) {
+  idx i = 0;
+  if constexpr (W > 1) {
+    for (; i + W <= rows; i += W) {
+      if constexpr (kIn) {
+        transpose_block<W>(c + j * cld + i, cld, t + i * ld + j, ld);
+      } else {
+        transpose_block<W>(t + i * ld + j, ld, c + j * cld + i, cld);
+      }
+    }
+  }
+  for (; i < rows; ++i) {
+#pragma GCC unroll 8
+    for (int q = 0; q < W; ++q) {
+      if constexpr (kIn) {
+        t[i * ld + j + q] = c[(j + q) * cld + i];
+      } else {
+        c[(j + q) * cld + i] = t[i * ld + j + q];
+      }
+    }
+  }
+}
+
+// Moves a rows x cols tile between c and t (as in move_cols): column groups
+// of the widest transpose, then one of half that width while its vectors
+// are still 16 bytes, then the last columns one entry at a time. Into t,
+// lanes [cols, ld) of every row are zeroed.
+template <Isa I, bool kIn, typename C, typename S>
+void move_tile(C* c, idx cld, idx rows, idx cols, S* t, idx ld) {
+  using T = std::remove_const_t<S>;
+  constexpr int W = kStageLanes<I, T>;
+  idx j = 0;
+  for (; j + W <= cols; j += W) move_cols<W, kIn>(c, cld, rows, j, t, ld);
+  if constexpr (W / 2 * sizeof(T) >= 16) {
+    if (j + W / 2 <= cols) {
+      move_cols<W / 2, kIn>(c, cld, rows, j, t, ld);
+      j += W / 2;
+    }
+  }
+  for (; j < cols; ++j) move_cols<1, kIn>(c, cld, rows, j, t, ld);
+  if constexpr (kIn) {
+    if (cols < ld) {
+      for (idx i = 0; i < rows; ++i) {
+        std::fill(t + i * ld + cols, t + (i + 1) * ld, T(0));
+      }
+    }
+  }
+}
+
+// Runs fn(t, ld) on the row groups c.block(r, 0, group_rows, c.cols()),
+// r in `starts`, staged one under the other row-major in the calling
+// thread's arena scratch: row i of the stack is t[i * ld, i * ld + ld),
+// ld = tile_ld(c.cols()), with the padding lanes zero. Then moves every
+// group back to its rows of c.
+template <Isa I, typename T, typename Fn>
+void on_rows(MatrixView<T> c, std::span<const idx> starts, idx group_rows,
+             Fn&& fn) {
   ArenaScope scope(Arena::thread_scratch());
   const idx ld = tile_ld(c.cols());
-  T* t = scope.alloc<T>(static_cast<std::size_t>(c.rows() * ld));
-  for (idx i = 0; i < c.rows(); ++i) {
-    for (idx j = c.cols(); j < ld; ++j) t[i * ld + j] = T(0);
-  }
-  for (idx j = 0; j < c.cols(); ++j) {
-    const T* src = c.col(j);
-    for (idx i = 0; i < c.rows(); ++i) t[i * ld + j] = src[i];
+  const idx group_elems = group_rows * ld;
+  T* t = scope.alloc<T>(starts.size() * static_cast<std::size_t>(group_elems));
+  for (std::size_t g = 0; g < starts.size(); ++g) {
+    move_tile<I, true>(c.as_const().data() + starts[g], c.ld(), group_rows,
+                       c.cols(), t + static_cast<idx>(g) * group_elems, ld);
   }
   fn(t, ld);
-  for (idx j = 0; j < c.cols(); ++j) {
-    T* dst = c.col(j);
-    for (idx i = 0; i < c.rows(); ++i) dst[i] = t[i * ld + j];
+  for (std::size_t g = 0; g < starts.size(); ++g) {
+    move_tile<I, false>(c.data() + starts[g], c.ld(), group_rows, c.cols(),
+                        t + static_cast<idx>(g) * group_elems, ld);
   }
+}
+
+// on_rows on the whole of c as one group.
+template <Isa I, typename T, typename Fn>
+void on_rows(MatrixView<T> c, Fn&& fn) {
+  const idx start = 0;
+  on_rows<I>(c, std::span<const idx>(&start, 1), c.rows(), fn);
+}
+
+// The staging of on_rows at level `isa`, for the tests: c into the tile t
+// (row stride ld >= c.cols(), lanes past c.cols() zeroed), and back.
+template <typename T>
+void stage_rows(Isa isa, ConstMatrixView<T> c, T* t, idx ld) {
+  run_at(isa, [&]<Isa I>() {
+    move_tile<I, true>(c.data(), c.ld(), c.rows(), c.cols(), t, ld);
+  });
+}
+
+template <typename T>
+void unstage_rows(Isa isa, const T* t, idx ld, MatrixView<T> c) {
+  run_at(isa, [&]<Isa I>() {
+    move_tile<I, false>(c.data(), c.ld(), c.rows(), c.cols(), t, ld);
+  });
 }
 
 // The support of one reflector in a row-major tile: the pivot row (v == 1),
@@ -593,14 +769,16 @@ void stacked_geqr2_rows(T* t, idx ld, idx w, idx k, T* tau, T* scratch) {
   }
 }
 
-// stacked_apply on a (k*w)-row tile t; v is the factored stack.
+// stacked_apply on a (k*w)-row tile t. `tails` holds blocks 1..k-1 of the
+// factored stack one under the other, column j at tails + j * tails_ld;
+// block 0 carries no reflector entries (its pivots are the implicit 1s).
 template <Isa I, typename T>
-void stacked_apply_rows(ConstMatrixView<T> v, idx w, idx k, const T* tau,
-                        T* t, idx ld, idx nc, bool transpose_q) {
+void stacked_apply_rows(const T* tails, idx tails_ld, idx w, idx k,
+                        const T* tau, T* t, idx ld, idx nc, bool transpose_q) {
   for (idx s = 0; s < w; ++s) {
     const idx j = transpose_q ? s : w - 1 - s;
     if (tau[j] == T(0)) continue;
-    const Support<T> sup{t + j * ld, t + w * ld, v.col(j) + w,
+    const Support<T> sup{t + j * ld, t + w * ld, tails + j * tails_ld,
                          k - 1, j + 1, w * ld, w};
     reflect<I>(sup, ld, tau[j], 0, nc);
   }
@@ -616,7 +794,7 @@ void block_geqr2(Isa isa, MatrixView<T> a, T* tau) {
   ArenaScope scope(Arena::thread_scratch());
   T* col = scope.alloc<T>(static_cast<std::size_t>(a.rows()));
   run_at(isa, [&]<Isa I>() {
-    on_rows(a, [&](T* t, idx ld) {
+    on_rows<I>(a, [&](T* t, idx ld) {
       geqr2_rows<I>(t, ld, a.rows(), a.cols(), tau, col);
     });
   });
@@ -626,7 +804,7 @@ template <typename T>
 void block_apply(Isa isa, ConstMatrixView<T> v, const T* tau, MatrixView<T> c,
                  bool transpose_q) {
   run_at(isa, [&]<Isa I>() {
-    on_rows(c, [&](T* t, idx ld) {
+    on_rows<I>(c, [&](T* t, idx ld) {
       apply_rows<I>(v, tau, t, ld, transpose_q);
     });
   });
@@ -636,7 +814,7 @@ template <typename T>
 void stacked_geqr2(Isa isa, MatrixView<T> s, idx w, idx k, T* tau,
                    T* scratch) {
   run_at(isa, [&]<Isa I>() {
-    on_rows(s, [&](T* t, idx ld) {
+    on_rows<I>(s, [&](T* t, idx ld) {
       stacked_geqr2_rows<I>(t, ld, w, k, tau, scratch);
     });
   });
@@ -646,8 +824,47 @@ template <typename T>
 void stacked_apply(Isa isa, ConstMatrixView<T> v, idx w, idx k, const T* tau,
                    MatrixView<T> c, bool transpose_q) {
   run_at(isa, [&]<Isa I>() {
-    on_rows(c, [&](T* t, idx ld) {
-      stacked_apply_rows<I>(v, w, k, tau, t, ld, c.cols(), transpose_q);
+    on_rows<I>(c, [&](T* t, idx ld) {
+      stacked_apply_rows<I>(v.data() + w, v.ld(), w, k, tau, t, ld, c.cols(),
+                            transpose_q);
+    });
+  });
+}
+
+// stacked_geqr2 and stacked_apply on the k = rows.size() triangles that sit
+// at rows `rows` of the w-column panel, in the tree kernels' layout: the
+// staging gathers them (and the matching rows of c) straight into the
+// row-major tile and scatters them back, with no column-major stack in
+// between.
+template <typename T>
+void stacked_geqr2_scattered(Isa isa, MatrixView<T> panel,
+                             std::span<const idx> rows, T* tau) {
+  const idx w = panel.cols(), k = static_cast<idx>(rows.size());
+  ArenaScope scope(Arena::thread_scratch());
+  T* scratch = scope.alloc<T>(static_cast<std::size_t>(1 + (k - 1) * w));
+  run_at(isa, [&]<Isa I>() {
+    on_rows<I>(panel, rows, w, [&](T* t, idx ld) {
+      stacked_geqr2_rows<I>(t, ld, w, k, tau, scratch);
+    });
+  });
+}
+
+template <typename T>
+void stacked_apply_scattered(Isa isa, ConstMatrixView<T> panel,
+                             std::span<const idx> rows, const T* tau,
+                             MatrixView<T> c, bool transpose_q) {
+  const idx w = panel.cols(), k = static_cast<idx>(rows.size());
+  ArenaScope scope(Arena::thread_scratch());
+  const idx tails_ld = (k - 1) * w;
+  T* tails = scope.alloc<T>(static_cast<std::size_t>(tails_ld * w));
+  for (idx b = 1; b < k; ++b) {
+    MatrixView<T>(tails + (b - 1) * w, w, w, tails_ld)
+        .copy_from(panel.block(rows[static_cast<std::size_t>(b)], 0, w, w));
+  }
+  run_at(isa, [&]<Isa I>() {
+    on_rows<I>(c, rows, w, [&](T* t, idx ld) {
+      stacked_apply_rows<I>(tails, tails_ld, w, k, tau, t, ld, c.cols(),
+                            transpose_q);
     });
   });
 }
@@ -700,6 +917,61 @@ void stacked_apply(ConstMatrixView<T> v, idx w, idx k, const T* tau,
     simd::stacked_apply(simd::active_isa(), v, w, k, tau, c, transpose_q);
   } else {
     ref::stacked_apply(v, w, k, tau, c, transpose_q);
+  }
+}
+
+// The tree kernels' combines: stacked_geqr2 / stacked_apply on the k =
+// rows.size() w x w triangles at rows `rows` of the w-column panel (and the
+// same rows of c), in place. Float and double gather them straight into the
+// staged tile; other scalar types go through a column-major stack.
+template <typename T>
+void stacked_geqr2_scattered(MatrixView<T> panel, std::span<const idx> rows,
+                             T* tau) {
+  if constexpr (simd::kEnabled<T>) {
+    simd::stacked_geqr2_scattered(simd::active_isa(), panel, rows, tau);
+  } else {
+    const idx w = panel.cols(), k = static_cast<idx>(rows.size());
+    ArenaScope scope(Arena::thread_scratch());
+    MatrixView<T> stack(scope.alloc<T>(static_cast<std::size_t>(k * w * w)),
+                        k * w, w, k * w);
+    for (idx b = 0; b < k; ++b) {
+      stack.block(b * w, 0, w, w)
+          .copy_from(panel.block(rows[static_cast<std::size_t>(b)], 0, w, w));
+    }
+    T* scratch = scope.alloc<T>(static_cast<std::size_t>(1 + (k - 1) * w));
+    ref::stacked_geqr2(stack, w, k, tau, scratch);
+    for (idx b = 0; b < k; ++b) {
+      panel.block(rows[static_cast<std::size_t>(b)], 0, w, w)
+          .copy_from(stack.block(b * w, 0, w, w));
+    }
+  }
+}
+
+template <typename T>
+void stacked_apply_scattered(ConstMatrixView<T> panel,
+                             std::span<const idx> rows, const T* tau,
+                             MatrixView<T> c, bool transpose_q) {
+  if constexpr (simd::kEnabled<T>) {
+    simd::stacked_apply_scattered(simd::active_isa(), panel, rows, tau, c,
+                                  transpose_q);
+  } else {
+    const idx w = panel.cols(), k = static_cast<idx>(rows.size());
+    const idx nc = c.cols();
+    ArenaScope scope(Arena::thread_scratch());
+    MatrixView<T> u(scope.alloc<T>(static_cast<std::size_t>(k * w * w)),
+                    k * w, w, k * w);
+    MatrixView<T> cs(scope.alloc<T>(static_cast<std::size_t>(k * w * nc)),
+                     k * w, nc, k * w);
+    for (idx b = 0; b < k; ++b) {
+      const idx r = rows[static_cast<std::size_t>(b)];
+      u.block(b * w, 0, w, w).copy_from(panel.block(r, 0, w, w));
+      cs.block(b * w, 0, w, nc).copy_from(c.block(r, 0, w, nc));
+    }
+    ref::stacked_apply(u.as_const(), w, k, tau, cs, transpose_q);
+    for (idx b = 0; b < k; ++b) {
+      c.block(rows[static_cast<std::size_t>(b)], 0, w, nc)
+          .copy_from(cs.block(b * w, 0, w, nc));
+    }
   }
 }
 

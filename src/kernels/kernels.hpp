@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/group_list.hpp"
 #include "common/small_vec.hpp"
 #include "gpusim/stats.hpp"
@@ -182,25 +181,10 @@ struct FactorTreeKernel {
     const idx k = static_cast<idx>(rows.size());
     const idx w = panel.cols();
     if (k < 2) return;  // singleton group passes through
-    // Gather the stacked triangles, factor, scatter back in place. The
-    // stack and the combine scratch come from the per-thread arena — same
-    // column-major layout a freshly allocated Matrix would have, so the
-    // arithmetic (and its result bits) are unchanged; every element is
-    // written before it is read.
-    ArenaScope scope(Arena::thread_scratch());
-    T* sbuf = scope.alloc<T>(static_cast<std::size_t>(k * w) *
-                             static_cast<std::size_t>(w));
-    MatrixView<T> stack(sbuf, k * w, w, k * w);
-    for (idx b = 0; b < k; ++b) {
-      stack.block(b * w, 0, w, w)
-          .copy_from(panel.as_const().block(rows[static_cast<std::size_t>(b)], 0, w, w));
-    }
-    T* scratch = scope.alloc<T>(static_cast<std::size_t>(1 + (k - 1) * w));
-    stacked_geqr2(stack, w, k, taus + g * w, scratch);
-    for (idx b = 0; b < k; ++b) {
-      panel.block(rows[static_cast<std::size_t>(b)], 0, w, w)
-          .copy_from(stack.as_const().block(b * w, 0, w, w));
-    }
+    // Combines the k triangles in place. For float and double the staging
+    // gathers them straight from the panel into the row-major tile and
+    // scatters them back (kernels/block_ops.hpp).
+    stacked_geqr2_scattered(panel, rows, taus + g * w);
   }
 
   BlockStats block_stats(idx g) const {
@@ -373,28 +357,12 @@ struct ApplyQtTreeKernel {
     const idx c0 = ct * tile_cols;
     const idx nc = std::min(tile_cols, trailing.cols() - c0);
 
-    // Gather the distributed U triangles and trailing row groups into
-    // arena-backed stacks (same layout a fresh Matrix would have — the
-    // combine arithmetic and its result bits are unchanged; every element
-    // is written by the gather before it is read).
-    ArenaScope scope(Arena::thread_scratch());
-    T* ubuf = scope.alloc<T>(static_cast<std::size_t>(k * w) *
-                             static_cast<std::size_t>(w));
-    T* cbuf = scope.alloc<T>(static_cast<std::size_t>(k * w) *
-                             static_cast<std::size_t>(nc));
-    MatrixView<T> u(ubuf, k * w, w, k * w);
-    MatrixView<T> c(cbuf, k * w, nc, k * w);
-    for (idx blk = 0; blk < k; ++blk) {
-      const idx r = rows[static_cast<std::size_t>(blk)];
-      u.block(blk * w, 0, w, w).copy_from(panel.block(r, 0, w, w));
-      c.block(blk * w, 0, w, nc)
-          .copy_from(trailing.as_const().block(r, c0, w, nc));
-    }
-    stacked_apply(u.as_const(), w, k, taus + g * w, c, transpose_q);
-    for (idx blk = 0; blk < k; ++blk) {
-      const idx r = rows[static_cast<std::size_t>(blk)];
-      trailing.block(r, c0, w, nc).copy_from(c.as_const().block(blk * w, 0, w, nc));
-    }
+    // Applies the combine to the k row groups of the tile's columns in
+    // place. For float and double the staging gathers the groups straight
+    // into the row-major tile and scatters them back.
+    stacked_apply_scattered(panel, rows, taus + g * w,
+                            trailing.block(0, c0, trailing.rows(), nc),
+                            transpose_q);
   }
 
   BlockStats block_stats(idx b) const {

@@ -7,6 +7,7 @@
 // take views so they compose over sub-blocks without copying — the CAQR grid
 // decomposition is expressed entirely through MatrixView::block().
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <utility>
@@ -64,6 +65,8 @@ class ConstMatrixView {
   idx cols() const { return cols_; }
   idx ld() const { return ld_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
+  // True when the entries are one run of rows * cols in memory.
+  bool contiguous() const { return ld_ == rows_ || cols_ <= 1; }
 
   const T& operator()(idx i, idx j) const {
     CAQR_DCHECK(i >= 0 && i < rows_ && j >= 0 && j < cols_);
@@ -110,6 +113,7 @@ class MatrixView {
   idx cols() const { return cols_; }
   idx ld() const { return ld_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
+  bool contiguous() const { return ld_ == rows_ || cols_ <= 1; }
 
   T& operator()(idx i, idx j) const {
     CAQR_DCHECK(i >= 0 && i < rows_ && j >= 0 && j < cols_);
@@ -127,7 +131,13 @@ class MatrixView {
     return MatrixView(data_ + i0 + j0 * ld_, m, n, ld_);
   }
 
+  // fill and copy_from treat a contiguous view as one run: same entries,
+  // same bits, without a loop per column.
   void fill(T value) const {
+    if (contiguous()) {
+      std::fill_n(data_, rows_ * cols_, value);
+      return;
+    }
     for (idx j = 0; j < cols_; ++j) {
       T* c = col(j);
       for (idx i = 0; i < rows_; ++i) c[i] = value;
@@ -142,6 +152,10 @@ class MatrixView {
 
   void copy_from(ConstMatrixView<T> src) const {
     CAQR_CHECK(src.rows() == rows_ && src.cols() == cols_);
+    if (contiguous() && src.contiguous()) {
+      std::copy_n(src.data(), rows_ * cols_, data_);
+      return;
+    }
     for (idx j = 0; j < cols_; ++j) {
       T* dst = col(j);
       const T* s = src.col(j);

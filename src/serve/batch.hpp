@@ -30,6 +30,8 @@
 // same rule as every other launch path in the repo.
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,6 +40,39 @@
 #include "tsqr/tsqr.hpp"
 
 namespace caqr::serve {
+
+// Typed rejection of a batch that cannot be fused: no problems, or
+// problems of different shapes (the CholQrShapeError pattern). A throw,
+// unlike an abort, reaches a serving caller through its batch future.
+// `mismatch` is the first problem whose shape differs from problem 0's,
+// -1 for an empty batch.
+struct BatchShapeError : std::runtime_error {
+  BatchShapeError(idx problems_, idx mismatch_, std::string what)
+      : std::runtime_error("batch rejected: " + what),
+        problems(problems_),
+        mismatch(mismatch_) {}
+  idx problems = 0;
+  idx mismatch = -1;
+};
+
+// Throws BatchShapeError unless `problems` is a non-empty same-shape batch.
+template <typename T>
+void check_batch_shape(const std::vector<Matrix<T>>& problems) {
+  const idx k = static_cast<idx>(problems.size());
+  if (k == 0) throw BatchShapeError(0, -1, "no problems");
+  const idx m = problems.front().rows(), n = problems.front().cols();
+  for (idx i = 1; i < k; ++i) {
+    const auto& a = problems[static_cast<std::size_t>(i)];
+    if (a.rows() != m || a.cols() != n) {
+      throw BatchShapeError(
+          k, i,
+          "problem " + std::to_string(i) + " is " + std::to_string(a.rows()) +
+              " x " + std::to_string(a.cols()) + ", problem 0 is " +
+              std::to_string(m) + " x " + std::to_string(n) +
+              " (a batch needs same-shape problems)");
+    }
+  }
+}
 
 // Result of one fused batch: per-problem (Q, R) plus the batch timings.
 template <typename T>
@@ -66,14 +101,10 @@ BatchQrResult<T> factor_batch(gpusim::Device& dev,
                               QrAlgorithm algo = QrAlgorithm::Caqr,
                               const CaqrOptions& opt = {},
                               bool want_q = true) {
-  CAQR_CHECK(!problems.empty());
+  check_batch_shape(problems);
   CAQR_CHECK(algo != QrAlgorithm::Auto);
   const idx m = problems.front().rows();
   const idx n = problems.front().cols();
-  for (const auto& a : problems) {
-    CAQR_CHECK_MSG(a.rows() == m && a.cols() == n,
-                   "factor_batch requires same-shape problems");
-  }
   const idx k = std::min(m, n);
   const bool functional = dev.mode() == gpusim::ExecMode::Functional;
 

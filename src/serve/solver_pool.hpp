@@ -477,7 +477,7 @@ class SolverPool {
   template <typename T>
   void run_batch(gpusim::Device& dev, std::vector<Matrix<T>>& problems,
                  const RequestOptions& req, BatchResponse<T>& resp) {
-    CAQR_CHECK(!problems.empty());
+    check_batch_shape(problems);
     const idx m = problems.front().rows(), n = problems.front().cols();
     QrAlgorithm algo;
     CaqrOptions opts;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "caqr/caqr.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/device.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/qr.hpp"
@@ -232,6 +233,42 @@ TEST(Caqr, FormQCostsAboutAsMuchAsFactoring) {
 // form_q applies panel p only to seed columns [min(c0, qcols), qcols); the
 // skipped entries stay +0, so Q must be bit-identical to the full-width
 // apply_q on the identity, for both precisions and both schedules.
+// form_q writes its identity seed on the device's pool: one chunk inline,
+// larger seeds across the pool's items. Q must keep its bits on 1- and
+// 4-thread pools, on both sides of that size, and equal apply_q on a
+// serially built identity. ModelOnly still seeds no storage.
+TEST(Caqr, FormQPooledSeedKeepsBits) {
+  const idx chunk = caqr::detail::kSeedChunkElems;
+  struct Shape {
+    idx m, n;
+  };
+  // One chunk; three chunks of several columns; one column per chunk.
+  for (const Shape s : {Shape{1000, 24}, Shape{chunk / 8 - 3, 24},
+                        Shape{chunk + 7, 3}}) {
+    SCOPED_TRACE(::testing::Message() << s.m << " x " << s.n);
+    ThreadPool one(1), four(4);
+    Device d1(GpuMachineModel::c2050(), ExecMode::Functional, &one);
+    Device d4(GpuMachineModel::c2050(), ExecMode::Functional, &four);
+    const auto f = CaqrFactorization<float>::factor(
+        d1, gaussian_matrix<float>(s.m, s.n, 91));
+    const auto q1 = f.form_q(d1, s.n);
+    const auto q4 = f.form_q(d4, s.n);
+    auto q_ref = Matrix<float>::identity(s.m, s.n);
+    f.apply_q(d1, q_ref.view());
+    const std::size_t bytes = static_cast<std::size_t>(s.m * s.n) * sizeof(float);
+    EXPECT_EQ(std::memcmp(q1.data(), q4.data(), bytes), 0);
+    EXPECT_EQ(std::memcmp(q1.data(), q_ref.data(), bytes), 0);
+
+    Device dm(GpuMachineModel::c2050(), ExecMode::ModelOnly);
+    const auto fm = CaqrFactorization<float>::factor(
+        dm, Matrix<float>::shape_only(s.m, s.n));
+    const auto qm = fm.form_q(dm, s.n);
+    EXPECT_EQ(qm.data(), nullptr);
+    EXPECT_EQ(qm.rows(), s.m);
+    EXPECT_EQ(qm.cols(), s.n);
+  }
+}
+
 struct FormQCase {
   idx m, n, panel_width, block_rows, qcols;
 };

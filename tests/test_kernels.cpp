@@ -8,15 +8,19 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <ostream>
+#include <span>
 #include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "caqr/caqr.hpp"
+#include "common/group_list.hpp"
+#include "common/prng.hpp"
 #include "common/thread_pool.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/block_ops.hpp"
@@ -781,6 +785,274 @@ TEST_P(VectorKernels, ZeroTailInputsGiveZeroTau) {
   kernels::simd::stacked_geqr2(GetParam(), s.view(), 4, 2, stau.data(),
                                scratch.data());
   EXPECT_EQ(stau[0], 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Staging: the register-transpose moves between a column-major view and the
+// row-major tile, against frozen copies of the element loops they replaced.
+// The tile (padding lanes included) and the view written back must match
+// those loops byte for byte, and nothing outside either may change.
+// ---------------------------------------------------------------------------
+
+// The element loops of simd::on_rows before the register transposes.
+template <typename T>
+void frozen_stage(ConstMatrixView<T> c, T* t, idx ld) {
+  for (idx i = 0; i < c.rows(); ++i) {
+    for (idx j = c.cols(); j < ld; ++j) t[i * ld + j] = T(0);
+  }
+  for (idx j = 0; j < c.cols(); ++j) {
+    const T* src = c.col(j);
+    for (idx i = 0; i < c.rows(); ++i) t[i * ld + j] = src[i];
+  }
+}
+
+template <typename T>
+void frozen_unstage(const T* t, idx ld, MatrixView<T> c) {
+  for (idx j = 0; j < c.cols(); ++j) {
+    T* dst = c.col(j);
+    for (idx i = 0; i < c.rows(); ++i) dst[i] = t[i * ld + j];
+  }
+}
+
+// Random bit patterns, NaN payloads and subnormals included: staging must
+// move bits, not values.
+template <typename T>
+void fill_random_bits(T* p, idx n, std::uint64_t seed) {
+  using U = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  Rng rng(seed);
+  for (idx i = 0; i < n; ++i) {
+    const U u = static_cast<U>(rng.next_u64());
+    std::memcpy(p + i, &u, sizeof(T));
+  }
+}
+
+template <typename T>
+bool same_bytes(const T* a, const T* b, idx n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(T)) == 0;
+}
+
+constexpr idx kStageRows[] = {1, 7, 8, 9, 127, 128, 129, 255};
+
+std::vector<idx> stage_cols() {
+  std::vector<idx> cols;
+  for (idx c = 1; c <= 17; ++c) cols.push_back(c);
+  cols.push_back(32);
+  return cols;
+}
+
+// One shape at level `isa`: stage_rows / unstage_rows and the arena-backed
+// on_rows round trip, each against the frozen loops. The view sits at row
+// 2 of a taller matrix when `strided` (ld > rows), at row 0 of an exact
+// one otherwise. Returns a description of the first mismatch, or "".
+template <typename T>
+std::string staging_mismatch(Isa isa, idx rows, idx cols, bool strided,
+                             std::uint64_t seed) {
+  const idx pad = strided ? 5 : 0, r0 = strided ? 2 : 0;
+  const idx ld = kernels::simd::tile_ld(cols);
+  const idx tile = rows * ld, guard = 64;
+  const auto where = [&](const char* what) {
+    return std::string(what) + " rows=" + std::to_string(rows) +
+           " cols=" + std::to_string(cols) + " strided=" +
+           std::to_string(strided);
+  };
+  Matrix<T> src(rows + pad, cols);
+  fill_random_bits(src.data(), (rows + pad) * cols, seed);
+  const auto view = src.view().block(r0, 0, rows, cols);
+
+  // Into the tile; the guard past it must keep its bytes.
+  std::vector<T> got(static_cast<std::size_t>(tile + guard));
+  std::vector<T> want(got.size());
+  fill_random_bits(got.data(), tile + guard, seed + 1);
+  want = got;
+  kernels::simd::stage_rows(isa, view.as_const(), got.data(), ld);
+  frozen_stage(view.as_const(), want.data(), ld);
+  if (!same_bytes(got.data(), want.data(), tile + guard)) return where("stage");
+
+  // Back from a tile of random bits; rows outside the view keep theirs.
+  std::vector<T> t(static_cast<std::size_t>(tile));
+  fill_random_bits(t.data(), tile, seed + 2);
+  auto back = Matrix<T>::from(src.view().as_const());
+  auto back_want = Matrix<T>::from(src.view().as_const());
+  kernels::simd::unstage_rows(isa, t.data(), ld,
+                              back.view().block(r0, 0, rows, cols));
+  frozen_unstage(t.data(), ld, back_want.view().block(r0, 0, rows, cols));
+  if (!same_bytes(back.data(), back_want.data(), (rows + pad) * cols)) {
+    return where("unstage");
+  }
+
+  // on_rows in the calling thread's arena: the tile fn sees, then a
+  // rewritten tile going back.
+  auto round = Matrix<T>::from(src.view().as_const());
+  auto round_want = Matrix<T>::from(src.view().as_const());
+  std::string err;
+  kernels::simd::run_at(isa, [&]<Isa I>() {
+    kernels::simd::on_rows<I>(
+        round.view().block(r0, 0, rows, cols), [&](T* staged, idx sld) {
+          if (sld != ld || !same_bytes(staged, want.data(), tile)) {
+            err = where("on_rows stage");
+          }
+          std::memcpy(staged, t.data(), static_cast<std::size_t>(tile) * sizeof(T));
+        });
+  });
+  if (!err.empty()) return err;
+  frozen_unstage(t.data(), ld, round_want.view().block(r0, 0, rows, cols));
+  if (!same_bytes(round.data(), round_want.data(), (rows + pad) * cols)) {
+    return where("on_rows unstage");
+  }
+  return "";
+}
+
+class Staging : public VectorKernels {};
+
+INSTANTIATE_TEST_SUITE_P(, Staging, ::testing::ValuesIn(kernels::simd::kIsas),
+                         [](const ::testing::TestParamInfo<Isa>& info) {
+                           return std::string(kernels::simd::isa_name(info.param));
+                         });
+
+template <typename T>
+void staging_matches_frozen_loops(Isa isa) {
+  std::uint64_t seed = 1;
+  for (const idx rows : kStageRows) {
+    for (const idx cols : stage_cols()) {
+      for (const bool strided : {true, false}) {
+        const std::string err =
+            staging_mismatch<T>(isa, rows, cols, strided, seed++);
+        ASSERT_EQ(err, "");
+      }
+    }
+  }
+}
+
+TEST_P(Staging, MatchesFrozenLoopsF32) {
+  staging_matches_frozen_loops<float>(GetParam());
+}
+
+TEST_P(Staging, MatchesFrozenLoopsF64) {
+  staging_matches_frozen_loops<double>(GetParam());
+}
+
+// The same checks from the items of a 4-thread pool at once, as two serve
+// workers run the kernels: each item stages through its own thread's arena.
+TEST_P(Staging, MatchesFrozenLoopsFromPoolItems) {
+  const Isa isa = GetParam();
+  const std::vector<idx> cols = stage_cols();
+  const std::size_t shapes = std::size(kStageRows) * cols.size();
+  std::vector<std::string> errs(2 * shapes);
+  ThreadPool four(4);
+  four.parallel_for(errs.size(), [&](std::size_t i) {
+    const std::size_t s = i % shapes;
+    const idx rows = kStageRows[s / cols.size()];
+    const idx c = cols[s % cols.size()];
+    errs[i] = i < shapes
+                  ? staging_mismatch<float>(isa, rows, c, true, 1000 + i)
+                  : staging_mismatch<double>(isa, rows, c, true, 1000 + i);
+  });
+  for (const std::string& e : errs) ASSERT_EQ(e, "");
+}
+
+// ---------------------------------------------------------------------------
+// Tree kernels: FactorTreeKernel and ApplyQtTreeKernel gather their row
+// groups straight into the staged tile. Frozen copies of the old run_block
+// bodies (gather into a column-major stack, the stacked core, scatter back)
+// must give the same bits, on uneven groups, singletons and ragged tiles.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void frozen_factor_tree_block(MatrixView<T> panel, std::span<const idx> rows,
+                              T* tau) {
+  const idx k = static_cast<idx>(rows.size()), w = panel.cols();
+  if (k < 2) return;
+  Matrix<T> stack(k * w, w);
+  for (idx b = 0; b < k; ++b) {
+    stack.block(b * w, 0, w, w)
+        .copy_from(panel.as_const().block(rows[static_cast<std::size_t>(b)], 0, w, w));
+  }
+  std::vector<T> scratch(static_cast<std::size_t>(1 + (k - 1) * w));
+  kernels::stacked_geqr2(stack.view(), w, k, tau, scratch.data());
+  for (idx b = 0; b < k; ++b) {
+    panel.block(rows[static_cast<std::size_t>(b)], 0, w, w)
+        .copy_from(stack.view().as_const().block(b * w, 0, w, w));
+  }
+}
+
+template <typename T>
+void frozen_apply_tree_block(ConstMatrixView<T> panel,
+                             std::span<const idx> rows, const T* tau,
+                             MatrixView<T> trailing, idx c0, idx nc,
+                             bool transpose_q) {
+  const idx k = static_cast<idx>(rows.size()), w = panel.cols();
+  if (k < 2) return;
+  Matrix<T> u(k * w, w), c(k * w, nc);
+  for (idx b = 0; b < k; ++b) {
+    const idx r = rows[static_cast<std::size_t>(b)];
+    u.block(b * w, 0, w, w).copy_from(panel.block(r, 0, w, w));
+    c.block(b * w, 0, w, nc).copy_from(trailing.as_const().block(r, c0, w, nc));
+  }
+  kernels::stacked_apply(u.as_const(), w, k, tau, c.view(), transpose_q);
+  for (idx b = 0; b < k; ++b) {
+    trailing.block(rows[static_cast<std::size_t>(b)], c0, w, nc)
+        .copy_from(c.as_const().block(b * w, 0, w, nc));
+  }
+}
+
+template <typename T>
+void tree_kernels_match_frozen_gather() {
+  const auto cost =
+      kernels::cost_params(kernels::ReductionVariant::RegisterSerialTransposed);
+  for (const idx w : {5, 16}) {
+    SCOPED_TRACE(::testing::Message() << "w=" << w);
+    // Row blocks of 32 and one of 40; groups of 3, 4 and 1 (a singleton
+    // passes through), their triangles at uneven row offsets.
+    const std::vector<idx> offsets = {0, 32, 64, 96, 128, 160, 192, 224, 264};
+    const idx m = offsets.back(), nb = static_cast<idx>(offsets.size()) - 1;
+    GroupList groups;
+    groups.push_group({0, 32, 64});
+    groups.push_group({96, 128, 160, 192});
+    groups.push_group({224});
+    auto panel = gaussian_matrix<T>(m, w, 21);
+    std::vector<T> taus(static_cast<std::size_t>(nb * w));
+    kernels::FactorKernel<T> f{panel.view(), &offsets, taus.data(), cost};
+    for (idx b = 0; b < nb; ++b) f.run_block(b);
+
+    auto frozen = Matrix<T>::from(panel.view().as_const());
+    std::vector<T> tt(static_cast<std::size_t>(groups.size() * w), T(-1));
+    std::vector<T> tt_frozen(tt);
+    kernels::FactorTreeKernel<T> ft{panel.view(), &groups, tt.data(), cost};
+    for (idx g = 0; g < groups.size(); ++g) {
+      ft.run_block(g);
+      frozen_factor_tree_block(frozen.view(), groups[g], tt_frozen.data() + g * w);
+    }
+    ASSERT_TRUE(same_bytes(panel.data(), frozen.data(), m * w));
+    ASSERT_TRUE(same_bytes(tt.data(), tt_frozen.data(), groups.size() * w));
+
+    for (const idx n : {idx{16}, idx{20}, idx{3}}) {
+      for (const bool transpose_q : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " qt=" << transpose_q);
+        auto c = gaussian_matrix<T>(m, n, 22);
+        auto c_frozen = Matrix<T>::from(c.view().as_const());
+        kernels::ApplyQtTreeKernel<T> k{panel.as_const(), &groups, tt.data(),
+                                        c.view(), 16, cost};
+        k.transpose_q = transpose_q;
+        for (idx b = 0; b < k.num_blocks(); ++b) {
+          k.run_block(b);
+          const idx g = b / k.num_col_tiles();
+          const idx c0 = (b % k.num_col_tiles()) * 16;
+          frozen_apply_tree_block(frozen.as_const(), groups[g],
+                                  tt_frozen.data() + g * w, c_frozen.view(),
+                                  c0, std::min<idx>(16, n - c0), transpose_q);
+        }
+        ASSERT_TRUE(same_bytes(c.data(), c_frozen.data(), m * n));
+      }
+    }
+  }
+}
+
+TEST(TreeKernelStaging, MatchesFrozenGatherPathF32) {
+  tree_kernels_match_frozen_gather<float>();
+}
+
+TEST(TreeKernelStaging, MatchesFrozenGatherPathF64) {
+  tree_kernels_match_frozen_gather<double>();
 }
 
 // The unqualified entry points run at the best level the CPU reports.

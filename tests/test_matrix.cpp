@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
 #include "linalg/matrix.hpp"
 
 namespace caqr {
@@ -61,6 +65,39 @@ TEST(Matrix, CopyFromRespectsLeadingDimension) {
   EXPECT_EQ(a(2, 2), 1.0f);
   EXPECT_EQ(a(1, 2), 0.0f);
   EXPECT_EQ(a(0, 0), 0.0f);
+}
+
+// A contiguous view (ld == rows, or a single column) is filled and copied
+// as one run: same bits as the column loops, NaN payloads included, and no
+// entry outside the view is touched.
+TEST(Matrix, CopyFromAndFillOnContiguousViewsKeepBits) {
+  Matrix<float> src(6, 4), dst(6, 4), strided(9, 4);
+  for (idx j = 0; j < 4; ++j) {
+    for (idx i = 0; i < 6; ++i) {
+      const std::uint32_t u = 0x7fa00000u + static_cast<std::uint32_t>(i + 6 * j);
+      std::memcpy(&src(i, j), &u, sizeof(u));  // NaNs with payloads
+    }
+  }
+  dst.view().fill(1.0f);
+  dst.view().block(0, 1, 6, 2).copy_from(src.view().block(0, 1, 6, 2));
+  strided.view().fill(2.0f);
+  strided.view().block(0, 3, 6, 1).copy_from(src.view().block(0, 3, 6, 1));
+  for (idx j = 0; j < 4; ++j) {
+    for (idx i = 0; i < 6; ++i) {
+      const float want = j == 1 || j == 2 ? src(i, j) : 1.0f;
+      EXPECT_EQ(std::memcmp(&dst(i, j), &want, sizeof(float)), 0);
+    }
+  }
+  for (idx i = 0; i < 6; ++i) {
+    EXPECT_EQ(std::memcmp(&strided(i, 3), &src(i, 3), sizeof(float)), 0);
+  }
+  for (idx i = 6; i < 9; ++i) EXPECT_EQ(strided(i, 3), 2.0f);
+
+  dst.view().block(0, 2, 6, 2).fill(-0.0f);
+  for (idx i = 0; i < 6; ++i) {
+    EXPECT_TRUE(std::signbit(dst(i, 3)));
+    EXPECT_EQ(dst(i, 0), 1.0f);
+  }
 }
 
 TEST(Matrix, MoveTransfersOwnership) {

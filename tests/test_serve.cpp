@@ -471,6 +471,51 @@ TEST(SolverPool, WideCholeskyQrFailsTypedAndPoolServesOn) {
   EXPECT_EQ(next.result.q.rows(), 256);
 }
 
+// An empty or mixed-shape batch is a typed error delivered through its
+// future, not an abort on the worker; the worker serves on.
+TEST(SolverPool, EmptyBatchFailsTypedAndPoolServesOn) {
+  PoolOptions po;
+  po.workers = 1;
+  SolverPool pool(po);
+  auto empty = pool.submit_batch(std::vector<Matrix<float>>{});
+  try {
+    empty.get();
+    FAIL() << "an empty batch was served";
+  } catch (const BatchShapeError& e) {
+    EXPECT_EQ(e.problems, 0);
+    EXPECT_EQ(e.mismatch, -1);
+  }
+
+  const auto next = pool.submit(gaussian_matrix<float>(256, 16, 80)).get();
+  EXPECT_EQ(next.status, RequestStatus::Done);
+  EXPECT_EQ(next.result.q.rows(), 256);
+}
+
+TEST(SolverPool, MixedShapeBatchFailsTypedAndPoolServesOn) {
+  PoolOptions po;
+  po.workers = 1;
+  SolverPool pool(po);
+  std::vector<Matrix<float>> mixed;
+  mixed.push_back(gaussian_matrix<float>(256, 16, 81));
+  mixed.push_back(gaussian_matrix<float>(256, 16, 82));
+  mixed.push_back(gaussian_matrix<float>(128, 16, 83));
+  auto bad = pool.submit_batch(std::move(mixed));
+  try {
+    bad.get();
+    FAIL() << "a mixed-shape batch was served";
+  } catch (const BatchShapeError& e) {
+    EXPECT_EQ(e.problems, 3);
+    EXPECT_EQ(e.mismatch, 2);
+  }
+
+  std::vector<Matrix<float>> same;
+  same.push_back(gaussian_matrix<float>(256, 16, 84));
+  same.push_back(gaussian_matrix<float>(256, 16, 85));
+  const auto next = pool.submit_batch(std::move(same)).get();
+  EXPECT_EQ(next.status, RequestStatus::Done);
+  EXPECT_EQ(next.result.problems.size(), 2u);
+}
+
 TEST(SolverPool, DeterministicAcrossWorkerCounts) {
   const idx m = 512, n = 24, kReq = 10;
   std::vector<Matrix<float>> inputs;
