@@ -7,8 +7,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
+#include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "caqr/solver.hpp"
 #include "common/group_list.hpp"
@@ -260,6 +270,175 @@ void BM_FormQ1t(benchmark::State& state) {
 BENCHMARK(BM_FormQ1t)->Args({110592, 100})->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Filling a 110,592 x 100 f32 matrix (44 MB, form_q's identity seed) on
+// the calling thread, into fresh storage each iteration (arg fresh = 1: the
+// allocation, its first-touch page faults and its release) or into storage
+// reused across iterations (fresh = 0). The difference is what a fresh Q
+// pays for its pages.
+void BM_FillMatrix(benchmark::State& state) {
+  const idx m = state.range(0), n = state.range(1);
+  const bool fresh = state.range(2) != 0;
+  Matrix<float> kept(m, n);
+  for (auto _ : state) {
+    if (fresh) {
+      Matrix<float> q(m, n);
+      q.view().fill(0.0f);
+      benchmark::DoNotOptimize(q.data());
+      benchmark::ClobberMemory();
+    } else {
+      kept.view().fill(0.0f);
+      benchmark::DoNotOptimize(kept.data());
+      benchmark::ClobberMemory();
+    }
+  }
+}
+BENCHMARK(BM_FillMatrix)->Args({110592, 100, 1})->Args({110592, 100, 0})
+    ->ArgNames({"m", "n", "fresh"})->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The host pool itself: parallel_for over items of fixed arithmetic, a
+// serial chain of multiply-adds. An item is a number of steps, not a span
+// of time, so an item that shares its CPU with another takes longer (an
+// item that spun on a clock would finish on schedule and hide that).
+double chain(std::size_t steps, double x) {
+  for (std::size_t s = 0; s < steps; ++s) x = x * 0.999999 + 1e-6;
+  return x;
+}
+
+// Steps of chain() per microsecond on the calling thread (best of five).
+std::size_t steps_per_us() {
+  static const std::size_t rate = [] {
+    constexpr std::size_t kProbe = std::size_t{1} << 22;
+    double best = 1e30;
+    for (int r = 0; r < 5; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(chain(kProbe, r));
+      best = std::min(best, std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    return std::max<std::size_t>(1, static_cast<std::size_t>(kProbe / best));
+  }();
+  return rate;
+}
+
+int current_cpu() {
+#ifdef __linux__
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+// CPUs in this process's affinity set (0 where it cannot be read).
+int affinity_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+#endif
+  return 0;
+}
+
+// `items` items of `us` microseconds each; each item notes its CPU.
+struct PoolJob {
+  PoolJob(std::size_t items, std::size_t us)
+      : steps(steps_per_us() * us), out(items), cpu(items) {}
+  void operator()(std::size_t i) {
+    out[i] = chain(steps, static_cast<double>(i));
+    cpu[i] = current_cpu();
+  }
+  std::size_t cpus() const { return std::set<int>(cpu.begin(), cpu.end()).size(); }
+  // Mean seconds of running every item on the calling thread.
+  double inline_seconds() {
+    constexpr int kReps = 5;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < kReps; ++r) {
+      for (std::size_t i = 0; i < out.size(); ++i) (*this)(i);
+    }
+    benchmark::DoNotOptimize(out.data());
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+               .count() /
+           kReps;
+  }
+  std::size_t steps;
+  std::vector<double> out;
+  std::vector<int> cpu;
+};
+
+// A pool sized like ThreadPool::global(); warm = it first ran one job of
+// about 256 ms of items (on one CPU that long a job lets the scheduler
+// spread the workers).
+std::unique_ptr<ThreadPool> make_pool(bool warm) {
+  auto pool = std::make_unique<ThreadPool>(0);
+  if (warm) {
+    PoolJob job(64, 4000);
+    pool->parallel_for(64, [&](std::size_t i) { job(i); });
+  }
+  return pool;
+}
+
+// parallel_for of `items` items of `us` microseconds (args items, us) on a
+// pool built for the row: fresh (warm = 0, its workers have run nothing
+// before the timed calls) or warm (make_pool). Manual time covers the
+// parallel_for calls only. Counters: speedup over running the same items
+// inline, and the distinct CPUs (sched_getcpu) one call's items ran on.
+void BM_PoolParallelFor(benchmark::State& state) {
+  const auto items = static_cast<std::size_t>(state.range(0));
+  PoolJob job(items, static_cast<std::size_t>(state.range(1)));
+  const auto pool = make_pool(state.range(2) != 0);
+  const std::function<void(std::size_t)> fn = [&](std::size_t i) { job(i); };
+  double pooled = 0.0, cpus = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    pool->parallel_for(items, fn);
+    const double t = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    state.SetIterationTime(t);
+    pooled += t;
+    cpus += static_cast<double>(job.cpus());
+  }
+  const auto n = static_cast<double>(state.iterations());
+  state.counters["speedup"] = job.inline_seconds() / (pooled / n);
+  state.counters["cpus_per_call"] = cpus / n;
+  state.counters["pool_threads"] = static_cast<double>(pool->size());
+}
+BENCHMARK(BM_PoolParallelFor)
+    ->ArgsProduct({{4, 16, 64}, {10, 40, 300}, {0, 1}})
+    ->ArgNames({"items", "us", "warm"})->UseManualTime()->Iterations(50)
+    ->Unit(benchmark::kMicrosecond);
+
+// Two threads call parallel_for on one warm pool at once, 64 items of
+// 40 us each, as two serve workers share ThreadPool::global(). Time is the
+// wall time of both calls; speedup is over running both jobs inline, and
+// cpus_per_call is the mean over the two calls.
+void BM_PoolTwoCallers(benchmark::State& state) {
+  constexpr std::size_t kItems = 64, kUs = 40;
+  PoolJob a(kItems, kUs), b(kItems, kUs);
+  const auto pool = make_pool(true);
+  const std::function<void(std::size_t)> fa = [&](std::size_t i) { a(i); };
+  const std::function<void(std::size_t)> fb = [&](std::size_t i) { b(i); };
+  double wall = 0.0, cpus = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread other([&] { pool->parallel_for(kItems, fb); });
+    pool->parallel_for(kItems, fa);
+    other.join();
+    const double t = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    state.SetIterationTime(t);
+    wall += t;
+    cpus += 0.5 * static_cast<double>(a.cpus() + b.cpus());
+  }
+  const auto n = static_cast<double>(state.iterations());
+  state.counters["speedup"] =
+      (a.inline_seconds() + b.inline_seconds()) / (wall / n);
+  state.counters["cpus_per_call"] = cpus / n;
+}
+BENCHMARK(BM_PoolTwoCallers)->UseManualTime()->Iterations(50)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_ReferenceGeqrf(benchmark::State& state) {
   const idx m = state.range(0), n = 64;
   auto a0 = gaussian_matrix<double>(m, n, 8);
@@ -450,6 +629,10 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "dispatched_isa",
       caqr::kernels::simd::isa_name(caqr::kernels::simd::active_isa()));
+  benchmark::AddCustomContext(
+      "hardware_threads", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("affinity_cpus",
+                              std::to_string(affinity_cpus()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -16,6 +16,17 @@
 // Allocations are routed through prof::detail::counted_alloc/counted_free
 // so the host profiling layer (common/profile.hpp) sees matrix and arena
 // traffic alongside operator-new traffic.
+//
+// Buffers of at least 2 MiB are 2 MiB-aligned and ask the kernel for
+// transparent huge pages (Linux MADV_HUGEPAGE) on the whole 2 MiB pages
+// inside them: a 44 MB matrix then takes ~21 page faults on first touch
+// instead of ~10,800, and fewer TLB misses afterwards. The tail past the
+// last whole 2 MiB page keeps 4 KiB pages, so a huge page never reaches
+// past the buffer's own bytes into memory the allocator may hand to
+// someone else; a matrix is written whole, so the pages it faults in are
+// the ones 4 KiB pages would have faulted, and RSS does not grow. The
+// advice is a hint: where the kernel refuses it (THP set to never) the
+// buffer works as before.
 
 #include <cstddef>
 #include <new>
@@ -27,6 +38,13 @@
 namespace caqr {
 
 inline constexpr std::size_t kCacheLineBytes = 64;
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+namespace detail {
+// Advises transparent huge pages for the whole 2 MiB pages of
+// [p, p + bytes); p is 2 MiB-aligned. Failures are ignored.
+void advise_huge_pages(void* p, std::size_t bytes) noexcept;
+}  // namespace detail
 
 template <typename T>
 class AlignedBuffer {
@@ -70,8 +88,11 @@ class AlignedBuffer {
     const std::size_t bytes =
         (count * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
         kCacheLineBytes;
-    void* p = prof::detail::counted_alloc(bytes, kCacheLineBytes);
+    const bool huge = bytes >= kHugePageBytes;
+    void* p = prof::detail::counted_alloc(
+        bytes, huge ? kHugePageBytes : kCacheLineBytes);
     if (p == nullptr) throw std::bad_alloc();
+    if (huge) detail::advise_huge_pages(p, bytes);
     data_ = static_cast<T*>(p);
     capacity_ = bytes / sizeof(T);
   }

@@ -2,23 +2,82 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace caqr {
 
 thread_local bool ThreadPool::in_parallel_region_ = false;
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
+namespace {
+
+#ifdef __linux__
+// The calling thread's CPU affinity set; false if it cannot be read (more
+// CPUs than a cpu_set_t holds, or a sandbox that refuses the call).
+bool inherited_cpus(cpu_set_t& set) {
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0;
+}
+#endif
+
+std::size_t default_threads() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (inherited_cpus(set)) return static_cast<std::size_t>(CPU_COUNT(&set));
+#endif
+  // libstdc++ counts online CPUs here, not the ones this process may use.
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+// The CPUs new workers start on, in turn: the calling thread's affinity set
+// in order, its current CPU last (the caller runs its share of every job).
+// Empty where the set is unknown.
+std::vector<int> start_cpus() {
+  std::vector<int> order;
+#ifdef __linux__
+  cpu_set_t set;
+  if (!inherited_cpus(set)) return order;
+  const int here = sched_getcpu();
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (cpu != here && CPU_ISSET(cpu, &set)) order.push_back(cpu);
   }
+  if (here >= 0 && CPU_ISSET(here, &set)) order.push_back(here);
+#endif
+  return order;
+}
+
+// Moves the calling thread onto `cpu`, then gives it back the affinity
+// mask it inherited, so it is placed but not pinned. A failure of any call
+// only loses the placement.
+void start_on([[maybe_unused]] int cpu) {
+#ifdef __linux__
+  cpu_set_t inherited;
+  if (!inherited_cpus(inherited)) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    sched_setaffinity(0, sizeof(inherited), &inherited);
+  }
+#endif
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0) threads = default_threads();
   // The calling thread also participates in parallel_for, so spawn one fewer
   // worker than the requested parallelism.
   const std::size_t workers = threads > 1 ? threads - 1 : 0;
   workers_.reserve(workers);
+  const std::vector<int> cpus = workers > 0 ? start_cpus() : std::vector<int>{};
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
+    workers_.emplace_back([this, cpu] {
+      if (cpu >= 0) start_on(cpu);
+      worker_loop();
+    });
   }
 }
 
@@ -37,11 +96,18 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::run_tickets(Job& job) {
-  for (;;) {
-    const std::size_t begin =
-        job.next.fetch_add(job.grain, std::memory_order_relaxed);
-    if (begin >= job.count) break;
-    const std::size_t end = std::min(begin + job.grain, job.count);
+  const std::size_t parts = 2 * size();
+  std::size_t begin = job.next.load(std::memory_order_relaxed);
+  while (begin < job.count) {
+    // Guided run: a share of what is left, so claims stay O(P log N) and
+    // the last runs are small enough to balance the fringe. A failed CAS
+    // reloads `begin`; cancellation (next = count) ends the loop.
+    const std::size_t end =
+        begin + std::max<std::size_t>(1, (job.count - begin) / parts);
+    if (!job.next.compare_exchange_weak(begin, end,
+                                        std::memory_order_relaxed)) {
+      continue;
+    }
     try {
       for (std::size_t i = begin; i < end; ++i) (*job.fn)(i);
     } catch (...) {
@@ -60,18 +126,17 @@ void ThreadPool::run_tickets(Job& job) {
       }
     }
     job.done.fetch_add(end - begin, std::memory_order_release);
+    begin = job.next.load(std::memory_order_relaxed);
   }
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn,
-                              std::size_t grain) {
+                              const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  CAQR_CHECK(grain >= 1);
   // Nested invocation (this thread is already running pool items), no
-  // workers, or a trivially small loop: run inline on this thread.
-  // Exceptions propagate directly.
-  if (in_parallel_region_ || workers_.empty() || count <= grain) {
+  // workers, or a single item: run inline on this thread. Exceptions
+  // propagate directly.
+  if (in_parallel_region_ || workers_.empty() || count == 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -79,7 +144,6 @@ void ThreadPool::parallel_for(std::size_t count,
   Job job;
   job.fn = &fn;
   job.count = count;
-  job.grain = grain;
 
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -109,10 +173,10 @@ void ThreadPool::parallel_for(std::size_t count,
     ThreadPool* pool;
     Job* job;
     ~JoinGuard() {
-      // All tickets are claimed (or cancelled) once the caller falls out of
-      // run_tickets, but workers may still be finishing their last batch;
+      // All indices are claimed (or cancelled) once the caller falls out of
+      // run_tickets, but workers may still be finishing their last run;
       // wait until every item is done — or the job failed and all claimed
-      // batches ended — AND no worker is still inside run_tickets before
+      // runs ended — AND no worker is still inside run_tickets before
       // letting the stack-allocated Job go out of scope.
       std::unique_lock<std::mutex> lock(pool->mutex_);
       pool->cv_done_.wait(lock, [&] {

@@ -459,8 +459,7 @@ class DistCaqrFactorization {
               grid.device(device_of_shard(dd)), gpusim::kDefaultStream,
               a_.shard(dd).block(local_start(dd, c0), c0, ls.height, w), topt,
               &sev[d], &redo[d]);
-        },
-        /*grain=*/1);
+        });
     for (int d = 0; d < ns; ++d) {
       note_launch(sev[static_cast<std::size_t>(d)]);
       status_.panel_retries += redo[static_cast<std::size_t>(d)];
@@ -571,8 +570,7 @@ class DistCaqrFactorization {
                   transpose_q, &s);
               sev[g] = ft::worse(sev[g], s);
             }
-          },
-          /*grain=*/1);
+          });
       for (const ft::Severity s : sev) note_launch(s);
     };
 

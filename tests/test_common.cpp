@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -10,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <mutex>
@@ -19,6 +22,10 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "common/aligned_buffer.hpp"
 #include "common/arena.hpp"
@@ -47,14 +54,132 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, GrainBatchingCoversAllIndices) {
   ThreadPool pool(3);
-  constexpr std::size_t kCount = 1003;  // deliberately not a grain multiple
+  constexpr std::size_t kCount = 1003;  // deliberately not a run multiple
   std::vector<std::atomic<int>> hits(kCount);
-  pool.parallel_for(
-      kCount,
-      [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
-      /*grain=*/7);
+  pool.parallel_for(kCount, [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
   for (std::size_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
+
+// The guided runs parallel_for hands out: each claim takes
+// max(1, left / (2 * size())) consecutive indices, so the claims are fixed
+// by count and pool size whichever thread makes them.
+std::vector<std::size_t> guided_run_starts(std::size_t count,
+                                           std::size_t threads) {
+  std::vector<std::size_t> starts;
+  for (std::size_t b = 0; b < count;
+       b += std::max<std::size_t>(1, (count - b) / (2 * threads))) {
+    starts.push_back(b);
+  }
+  return starts;
+}
+
+TEST(ThreadPool, GuidedClaimsAreContiguousRunsAndFew) {
+  ThreadPool pool(4);
+  const std::size_t p = pool.size();
+  for (const std::size_t count : {std::size_t{1}, std::size_t{2}, p,
+                                  2 * p + 1, std::size_t{1003}}) {
+    SCOPED_TRACE(count);
+    // Per index: the thread that ran it and its position in that thread's
+    // sequence of items.
+    std::vector<std::thread::id> who(count);
+    std::vector<std::size_t> pos(count);
+    std::vector<int> hits(count, 0);
+    std::map<std::thread::id, std::size_t> ran;
+    std::mutex m;
+    pool.parallel_for(count, [&](std::size_t i) {
+      std::lock_guard<std::mutex> lock(m);
+      ++hits[i];
+      who[i] = std::this_thread::get_id();
+      pos[i] = ran[who[i]]++;
+    });
+    for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(hits[i], 1) << i;
+    auto starts = guided_run_starts(count, p);
+    EXPECT_LE(static_cast<double>(starts.size()),
+              2.0 * static_cast<double>(p) *
+                  (1.0 + std::log2(static_cast<double>(count))));
+    // Every claim ran whole, in order, on one thread with nothing between.
+    starts.push_back(count);
+    for (std::size_t c = 0; c + 1 < starts.size(); ++c) {
+      for (std::size_t i = starts[c] + 1; i < starts[c + 1]; ++i) {
+        ASSERT_EQ(who[i], who[i - 1]) << "claim at " << starts[c];
+        ASSERT_EQ(pos[i], pos[i - 1] + 1) << "claim at " << starts[c];
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, ThrowMidRunCancelsTheRemainingClaimsAndJoins) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCount = 1003;
+  std::vector<std::atomic<int>> hits(kCount);
+  EXPECT_THROW(pool.parallel_for(kCount,
+                                 [&](std::size_t i) {
+                                   hits[i].fetch_add(1);
+                                   if (i == 0) throw std::runtime_error("x");
+                                 }),
+               std::runtime_error);
+  // Index 0 heads the first run; the throw ends that run, and no thread
+  // claims its rest again.
+  const std::size_t first = guided_run_starts(kCount, pool.size())[1];
+  ASSERT_GT(first, 1u);
+  EXPECT_EQ(hits[0].load(), 1);
+  for (std::size_t i = 1; i < first; ++i) ASSERT_EQ(hits[i].load(), 0) << i;
+  for (std::size_t i = first; i < kCount; ++i) ASSERT_LE(hits[i].load(), 1);
+  // The job was joined: the pool takes the next one whole.
+  std::atomic<std::size_t> total{0};
+  pool.parallel_for(kCount, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), kCount);
+}
+
+#ifdef __linux__
+TEST(ThreadPool, WorkersEndWithTheConstructorsAffinityMask) {
+  cpu_set_t want;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(want), &want), 0);
+  ThreadPool pool(4);
+  const std::size_t p = pool.size();
+  // One item per thread: each item waits until all are running, so no
+  // thread can take a second one.
+  std::latch all_running(static_cast<std::ptrdiff_t>(p));
+  std::vector<int> same(p, 0);
+  std::vector<std::thread::id> who(p);
+  pool.parallel_for(p, [&](std::size_t i) {
+    all_running.arrive_and_wait();
+    cpu_set_t got;
+    CPU_ZERO(&got);
+    if (sched_getaffinity(0, sizeof(got), &got) == 0) {
+      same[i] = CPU_EQUAL(&got, &want) ? 1 : 0;
+    }
+    who[i] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(std::set<std::thread::id>(who.begin(), who.end()).size(), p);
+  for (std::size_t i = 0; i < p; ++i) EXPECT_EQ(same[i], 1) << i;
+}
+
+TEST(ThreadPool, DefaultSizeFollowsTheInheritedCpuSet) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  if (CPU_COUNT(&saved) < 2) GTEST_SKIP() << "one CPU: nothing to narrow";
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  std::size_t narrowed = 0;
+  {
+    ThreadPool pool(0);
+    narrowed = pool.size();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(ThreadPool(0).size(), static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+#endif
 
 TEST(ThreadPool, ZeroAndSingleItemWork) {
   ThreadPool pool(2);
@@ -166,6 +291,21 @@ TEST(AlignedBuffer, AlignmentAndMove) {
   EXPECT_EQ(moved[99], -2.5f);
   EXPECT_EQ(buf.data(), nullptr);
   EXPECT_TRUE(buf.empty());
+}
+
+TEST(AlignedBuffer, BuffersOfAHugePageOrMoreAreHugePageAligned) {
+  // One element past 2 MiB: a whole huge page plus a 4 KiB-page tail.
+  constexpr std::size_t kCount = kHugePageBytes / sizeof(float) + 1;
+  AlignedBuffer<float> big(kCount);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % kHugePageBytes, 0u);
+  for (std::size_t i = 0; i < kCount; ++i) big[i] = static_cast<float>(i);
+  for (std::size_t i = 0; i < kCount; i += 4099) {
+    ASSERT_EQ(big[i], static_cast<float>(i));
+  }
+  EXPECT_EQ(big[kCount - 1], static_cast<float>(kCount - 1));
+  AlignedBuffer<float> small(kHugePageBytes / sizeof(float) / 2);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data()) % kCacheLineBytes,
+            0u);
 }
 
 TEST(Rng, DeterministicStreams) {
